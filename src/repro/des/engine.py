@@ -11,28 +11,15 @@ All timestamps and delays are integer **picoseconds**.  Use :func:`ns` /
 :func:`us` to build delays from the paper's nanosecond/microsecond constants
 and :func:`ps_to_ns` / :func:`ps_to_us` to convert results back for reporting.
 Non-integer delays are rejected (or, for exactly-integral floats, coerced) at
-construction: float timestamps would silently break both the canonical trace
-encoding and the calendar queue's integer bucket keys.
+construction: float timestamps would silently break the canonical trace
+encoding.
 
 Event queue
 -----------
-The default pending-event structure is an indexed **calendar queue**: events
-are hashed into fixed-width time buckets by ``when >> _BUCKET_SHIFT``; future
-buckets are plain append-lists (O(1) insertion) indexed by a small min-heap of
-occupied bucket ids, and the *current* bucket is heapified once when the clock
-enters it.  Bucket width is 2**20 ps ≈ 1.05 µs — wide relative to the LogGP
-models' event horizon (per-packet gaps, overheads and match latencies are a
-few ns to a few hundred ns), so near-term events heap-push straight into the
-already-heapified current bucket, while coarser timers append to future
-buckets in O(1) and are heapified at most once.  Queue entries are
-4-slot lists recycled through a free list (arena-style: a drained entry is
-reused by the next push instead of allocating).  Total order is exactly the
-classic ``(time, priority, seq)`` triple — ``seq`` is unique, so bucket-local
-heap ordering reproduces the global heap's pop order byte-for-byte, and
-``Timeline.canonical_bytes()`` is invariant to the queue flavour.
-
-Set ``REPRO_EVENT_QUEUE=heap`` to select the legacy binary-heap queue (tuples
-in one ``heapq`` list) — kept as a differential-testing escape hatch.
+Pending events are ``(time, priority, seq, payload)`` tuples in one ``heapq``
+list.  ``seq`` is unique, so the pop order is the total ``(time, priority,
+seq)`` order that ``Timeline.canonical_bytes()`` pins, and a popped entry
+leaves no reference to its payload behind in the queue.
 """
 
 from __future__ import annotations
@@ -40,7 +27,7 @@ from __future__ import annotations
 import os
 from gc import disable as _gc_disable, enable as _gc_enable
 from gc import isenabled as _gc_isenabled
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from operator import index as _as_int
 from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -66,29 +53,6 @@ __all__ = [
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 
-#: log2 of the calendar-queue bucket width in picoseconds (see module
-#: docstring for the sizing argument).
-_BUCKET_SHIFT = 20
-
-# ``os.environ`` lookups go through ``_Environ.__getitem__`` (encode + dict +
-# decode) — measurable on construction-heavy paths that consult fast-path
-# switches per build.  On POSIX CPython the backing ``_data`` dict of encoded
-# keys/values is stable and kept in sync by ``putenv``/``monkeypatch.setenv``,
-# so read it directly; fall back to the mapping API anywhere it is absent.
-_ENV_DATA = getattr(os.environ, "_data", None) if os.name == "posix" else None
-_ENV_KEYS: dict[str, bytes] = {}
-
-
-def _env_get(name: str) -> Optional[str]:
-    """Cheap ``os.environ.get`` honouring live mutation (monkeypatch etc.)."""
-    if _ENV_DATA is None:
-        return os.environ.get(name)
-    key = _ENV_KEYS.get(name)
-    if key is None:
-        _ENV_KEYS[name] = key = os.fsencode(name)
-    raw = _ENV_DATA.get(key)
-    return None if raw is None else os.fsdecode(raw)
-
 
 def env_flag(name: str, default: bool = True) -> bool:
     """Parse an on/off environment switch.
@@ -98,23 +62,10 @@ def env_flag(name: str, default: bool = True) -> bool:
     (``REPRO_FABRIC_FAST_PATH``, ``REPRO_NIC_FAST_RX``) so every switch
     accepts the same spellings.
     """
-    value = _env_get(name)
+    value = os.environ.get(name)
     if value is None:
         return default
     return value.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-def _queue_flavour() -> str:
-    """Resolve ``REPRO_EVENT_QUEUE`` to ``calendar`` (default) or ``heap``."""
-    value = _env_get("REPRO_EVENT_QUEUE")
-    if value is None or value == "":
-        return "calendar"
-    value = value.strip().lower()
-    if value not in ("calendar", "heap"):
-        raise SimulationError(
-            f"REPRO_EVENT_QUEUE={value!r}: expected 'calendar' or 'heap'"
-        )
-    return value
 
 
 def ns(value: float) -> int:
@@ -227,25 +178,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq = seq = env._seq + 1
-        if env._heap is not None:
-            heappush(env._heap, (env._now, PRIORITY_NORMAL, seq, self))
-        else:
-            # Inlined calendar push (see Environment._cal_push) — succeed()
-            # is one of the kernel's hottest call sites.
-            when = env._now
-            free = env._free
-            if free:
-                entry = free.pop()
-                entry[0] = when
-                entry[1] = PRIORITY_NORMAL
-                entry[2] = seq
-                entry[3] = self
-            else:
-                entry = [when, PRIORITY_NORMAL, seq, self]
-            if when >> env._shift == env._cur_id:
-                heappush(env._cur, entry)
-            else:
-                env._cal_far(entry)
+        heappush(env._heap, (env._now, PRIORITY_NORMAL, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -295,24 +228,7 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._seq = seq = env._seq + 1
-        if env._heap is not None:
-            heappush(env._heap, (env._now + delay, PRIORITY_NORMAL, seq, self))
-        else:
-            # Inlined calendar push — the kernel's hottest allocation site.
-            when = env._now + delay
-            free = env._free
-            if free:
-                entry = free.pop()
-                entry[0] = when
-                entry[1] = PRIORITY_NORMAL
-                entry[2] = seq
-                entry[3] = self
-            else:
-                entry = [when, PRIORITY_NORMAL, seq, self]
-            if when >> env._shift == env._cur_id:
-                heappush(env._cur, entry)
-            else:
-                env._cal_far(entry)
+        heappush(env._heap, (env._now + delay, PRIORITY_NORMAL, seq, self))
 
 
 class _Callback:
@@ -350,10 +266,7 @@ class Initialize(Event):
         self._ok = True
         self._defused = False
         env._seq = seq = env._seq + 1
-        if env._heap is not None:
-            heappush(env._heap, (env._now, PRIORITY_URGENT, seq, self))
-        else:
-            env._cal_push(env._now, PRIORITY_URGENT, seq, self)
+        heappush(env._heap, (env._now, PRIORITY_URGENT, seq, self))
 
 
 class Process(Event):
@@ -445,23 +358,7 @@ class Process(Event):
                 self._ok = True
                 self._value = stop.value
                 env._seq = seq = env._seq + 1
-                if env._heap is not None:
-                    heappush(env._heap, (env._now, PRIORITY_NORMAL, seq, self))
-                else:
-                    when = env._now
-                    free = env._free
-                    if free:
-                        entry = free.pop()
-                        entry[0] = when
-                        entry[1] = PRIORITY_NORMAL
-                        entry[2] = seq
-                        entry[3] = self
-                    else:
-                        entry = [when, PRIORITY_NORMAL, seq, self]
-                    if when >> env._shift == env._cur_id:
-                        heappush(env._cur, entry)
-                    else:
-                        env._cal_far(entry)
+                heappush(env._heap, (env._now, PRIORITY_NORMAL, seq, self))
                 return
             except BaseException as exc:
                 env._active_process = None
@@ -559,35 +456,15 @@ _METER = None
 class Environment:
     """The simulation clock and event queue.
 
-    Two queue flavours (see module docstring): the default calendar queue
-    and the legacy heap, selected per-environment at construction from
-    ``REPRO_EVENT_QUEUE``.  Both implement the identical total order
-    ``(time, priority, seq)``; ``_heap`` is the tuple heap in heap mode and
-    ``None`` in calendar mode (push sites branch on that).
+    ``_heap`` is the pending ``(time, priority, seq, payload)`` tuples as a
+    binary heap (see module docstring).
     """
 
     def __init__(self, initial_time: int = 0):
         self._now: int = initial_time
         self._seq: int = 0
         self._active_process: Optional[Process] = None
-        self.queue_flavour: str = _queue_flavour()
-        if self.queue_flavour == "heap":
-            self._heap: Optional[list] = []
-        else:
-            self._heap = None
-            self._shift: int = _BUCKET_SHIFT
-            #: current (heapified) bucket + its id; pushes into the current
-            #: bucket heappush here so mid-drain arrivals stay ordered.
-            self._cur: list = []
-            self._cur_id: int = (initial_time >> _BUCKET_SHIFT) - 1
-            #: future buckets: id -> unsorted entry list, plus a min-heap of
-            #: occupied ids (never stale: an id is pushed exactly when its
-            #: bucket is created and popped when the bucket becomes current).
-            self._buckets: dict[int, list] = {}
-            self._bucket_ids: list[int] = []
-            #: entry arena: drained [when, prio, seq, payload] lists are
-            #: recycled instead of reallocated.
-            self._free: list = []
+        self._heap: list = []
         if _METER is not None:
             _METER.register(self)
 
@@ -598,14 +475,10 @@ class Environment:
         cluster to a fresh simulation instead of rebuilding it; the kernel
         side of that is rewinding the clock and the seq counter so the next
         run's ``(time, priority, seq)`` order is identical to a fresh
-        environment's.  The calendar's entry arena deliberately survives —
-        recycled entries are the point of the arena.  Raises if events are
-        still pending: resetting a live queue would drop them silently.
+        environment's.  Raises if events are still pending: resetting a live
+        queue would drop them silently.
         """
-        if self._heap is not None:
-            if self._heap:
-                raise SimulationError("reset() with events still pending")
-        elif self._cur or self._buckets:
+        if self._heap:
             raise SimulationError("reset() with events still pending")
         if _METER is not None:
             # Bank the count before zeroing: a metered window must see
@@ -614,8 +487,6 @@ class Environment:
         self._now = 0
         self._seq = 0
         self._active_process = None
-        if self._heap is None:
-            self._cur_id = -1
 
     @property
     def events_scheduled(self) -> int:
@@ -678,54 +549,9 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling & stepping --------------------------------------------
-    def _cal_push(self, when: int, priority: int, seq: int, payload: Any) -> None:
-        """Insert into the calendar queue (callers already bumped ``_seq``)."""
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry[0] = when
-            entry[1] = priority
-            entry[2] = seq
-            entry[3] = payload
-        else:
-            entry = [when, priority, seq, payload]
-        if when >> self._shift == self._cur_id:
-            heappush(self._cur, entry)
-        else:
-            self._cal_far(entry)
-
-    def _cal_far(self, entry: list) -> None:
-        """Insert an entry whose bucket is not the current one (cold half of
-        the push, shared by the inlined hot sites)."""
-        bid = entry[0] >> self._shift
-        buckets = self._buckets
-        bucket = buckets.get(bid)
-        if bucket is None:
-            buckets[bid] = [entry]
-            heappush(self._bucket_ids, bid)
-        else:
-            bucket.append(entry)
-
-    def _advance_bucket(self) -> Optional[list]:
-        """Make the earliest occupied bucket current; None if queue empty."""
-        if self._cur:
-            return self._cur
-        ids = self._bucket_ids
-        if not ids:
-            return None
-        bid = heappop(ids)
-        self._cur = cur = self._buckets.pop(bid)
-        self._cur_id = bid
-        if len(cur) > 1:
-            heapify(cur)
-        return cur
-
     def _schedule(self, event: Event, priority: int, delay: int) -> None:
         self._seq = seq = self._seq + 1
-        if self._heap is not None:
-            heappush(self._heap, (self._now + delay, priority, seq, event))
-        else:
-            self._cal_push(self._now + delay, priority, seq, event)
+        heappush(self._heap, (self._now + delay, priority, seq, event))
 
     def schedule_callback(
         self,
@@ -746,23 +572,7 @@ class Environment:
             raise SimulationError(f"negative callback delay {delay}")
         handle = _Callback(fn)
         self._seq = seq = self._seq + 1
-        if self._heap is not None:
-            heappush(self._heap, (self._now + delay, priority, seq, handle))
-        else:
-            when = self._now + delay
-            free = self._free
-            if free:
-                entry = free.pop()
-                entry[0] = when
-                entry[1] = priority
-                entry[2] = seq
-                entry[3] = handle
-            else:
-                entry = [when, priority, seq, handle]
-            if when >> self._shift == self._cur_id:
-                heappush(self._cur, entry)
-            else:
-                self._cal_far(entry)
+        heappush(self._heap, (self._now + delay, priority, seq, handle))
         return handle
 
     def schedule_fn(
@@ -782,61 +592,18 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"negative callback delay {delay}")
         self._seq = seq = self._seq + 1
-        if self._heap is not None:
-            heappush(self._heap, (self._now + delay, priority, seq, fn))
-        else:
-            when = self._now + delay
-            free = self._free
-            if free:
-                entry = free.pop()
-                entry[0] = when
-                entry[1] = priority
-                entry[2] = seq
-                entry[3] = fn
-            else:
-                entry = [when, priority, seq, fn]
-            if when >> self._shift == self._cur_id:
-                heappush(self._cur, entry)
-            else:
-                self._cal_far(entry)
+        heappush(self._heap, (self._now + delay, priority, seq, fn))
 
     def peek(self) -> Optional[int]:
-        """Timestamp of the next scheduled event, or None if queue is empty.
-
-        Purely observational: the calendar flavour must *not* promote a
-        future bucket here.  Committing to a current bucket before the
-        clock reaches it would misfile a later push with an earlier
-        timestamp into a lower-id far bucket, which the drain loops only
-        visit after emptying the (wrongly) current one — events would run
-        out of time order.
-        """
-        if self._heap is not None:
-            return self._heap[0][0] if self._heap else None
-        cur = self._cur
-        if cur:
-            return cur[0][0]
-        ids = self._bucket_ids
-        if not ids:
-            return None
-        # The earliest occupied future bucket holds the globally earliest
-        # entry, but it is an unsorted append-list — scan it.
-        return min(entry[0] for entry in self._buckets[ids[0]])
+        """Timestamp of the next scheduled event, or None if queue is empty."""
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> None:
         """Process the next scheduled event."""
-        if self._heap is not None:
-            queue = self._heap
-            if not queue:
-                raise SimulationError("step() on an empty event queue")
-            when, _prio, _seq, event = heappop(queue)
-        else:
-            cur = self._cur or self._advance_bucket()
-            if not cur:
-                raise SimulationError("step() on an empty event queue")
-            entry = heappop(cur)
-            when = entry[0]
-            event = entry[3]
-            self._free.append(entry)
+        queue = self._heap
+        if not queue:
+            raise SimulationError("step() on an empty event queue")
+        when, _prio, _seq, event = heappop(queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
@@ -872,103 +639,7 @@ class Environment:
                 _gc_enable()
         return self._run(until)
 
-    def _run(self, until: Optional[int] = None) -> Any:
-        if self._heap is not None:
-            return self._run_heap(until)
-        free = self._free
-        buckets = self._buckets
-        ids = self._bucket_ids
-        if until is None:
-            # Batched drain: the inner loop empties the whole current bucket
-            # without re-probing the bucket map (the simulator's innermost
-            # hot path; validated delays make step()'s past-check redundant).
-            # The bucket advance is inlined — at small bucket occupancies it
-            # runs nearly once per event.
-            while True:
-                cur = self._cur
-                if not cur:
-                    if not ids:
-                        return None
-                    bid = heappop(ids)
-                    self._cur = cur = buckets.pop(bid)
-                    self._cur_id = bid
-                    if len(cur) > 1:
-                        heapify(cur)
-                while cur:
-                    entry = heappop(cur)
-                    self._now = entry[0]
-                    event = entry[3]
-                    free.append(entry)
-                    if not isinstance(event, Event):
-                        event()
-                        continue
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-        if isinstance(until, Event):
-            sentinel = until
-            if sentinel.callbacks is None:
-                return sentinel.value
-            done: list = []
-            sentinel.callbacks.append(done.append)
-            while not done:
-                cur = self._cur
-                if not cur:
-                    if not ids:
-                        break
-                    bid = heappop(ids)
-                    self._cur = cur = buckets.pop(bid)
-                    self._cur_id = bid
-                    if len(cur) > 1:
-                        heapify(cur)
-                while cur:
-                    entry = heappop(cur)
-                    self._now = entry[0]
-                    event = entry[3]
-                    free.append(entry)
-                    if not isinstance(event, Event):
-                        event()
-                    else:
-                        callbacks, event.callbacks = event.callbacks, None
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                    if done:
-                        break
-            if not done:
-                raise SimulationError(
-                    "simulation ran out of events before the awaited event fired"
-                )
-            if not sentinel._ok:
-                raise sentinel._value
-            return sentinel._value
-        horizon = int(until)
-        if horizon < self._now:
-            raise SimulationError("cannot run() into the past")
-        shift = self._shift
-        while True:
-            cur = self._cur
-            if not cur:
-                ids = self._bucket_ids
-                # Earliest possible entry in the next bucket is its base
-                # time; stop before heapifying a bucket past the horizon.
-                if not ids or (ids[0] << shift) > horizon:
-                    break
-                cur = self._advance_bucket()
-            if cur[0][0] > horizon:
-                # Everything left in this bucket — and every later bucket —
-                # lies beyond the horizon.
-                break
-            while cur and cur[0][0] <= horizon:
-                self.step()
-        self._now = horizon
-        return None
-
-    def _run_heap(self, until: Optional[int]) -> Any:
-        """Legacy heap drain loops (``REPRO_EVENT_QUEUE=heap``)."""
+    def _run(self, until: Optional[int]) -> Any:
         queue = self._heap
         if until is None:
             while queue:

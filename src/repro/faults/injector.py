@@ -17,8 +17,8 @@ path already pays for (or pays nothing for):
 
 All randomness comes from ``random.Random(plan.seed)`` owned here; draws
 occur in kernel-event order, so identical plans replay identically on
-every event-queue and fast-path flavour.  Arming a plan makes the
-session unpoolable — fault state must never leak into a reused cluster.
+both fast-path flavours.  Arming a plan makes the session unpoolable —
+fault state must never leak into a reused cluster.
 """
 
 from __future__ import annotations

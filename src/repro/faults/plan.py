@@ -10,9 +10,9 @@ Determinism contract
 Every probabilistic fault draw comes from ``random.Random(plan.seed)``
 owned by the injector — never the process-global RNG — and draws happen
 in kernel-event order (packet dispatch order, handler invocation order).
-Both orders are pinned byte-identical across the calendar/heap event
-cores and the fast/slow fabric+NIC paths by the existing equivalence
-contracts, so an identical plan yields identical traces on every flavour.
+Both orders are pinned byte-identical across the fast/slow fabric+NIC
+paths by the existing equivalence contracts, so an identical plan yields
+identical traces on every flavour.
 Times are given in **nanoseconds** (floats are fine) and converted to the
 integer-picosecond clock at arm time.
 """
@@ -197,7 +197,7 @@ class FaultPlan:
 
     ``seed`` feeds the injector's dedicated ``random.Random`` — the only
     randomness any fault ever consumes — so a plan is byte-reproducible
-    across workers, shards, event-queue flavours, and fast/slow paths.
+    across workers, shards, and fast/slow paths.
     """
 
     faults: tuple = field(default_factory=tuple)

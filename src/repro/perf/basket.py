@@ -11,7 +11,7 @@ Seven baskets cover the simulator's load profiles:
 * **congestion** — incast and permutation mixes on the congestion fabric
   (per-link routed walks dominate; added with the fabric in PR 4);
 * **kernel-ops** — pure event-queue churn with no model code, isolating
-  the calendar/heap core itself (added with the calendar queue in PR 6);
+  the event core itself (added in PR 6);
 * **serving** — million-client population serving: fluid arrival
   callbacks, streaming sketch inserts, Zipf draws, windowed SLO tracking
   (added with the population driver in PR 10).
@@ -97,14 +97,14 @@ def _kernel_ops(scale: int) -> None:
     The scenario baskets are dominated by model code (NIC chains, fabric,
     matching), so a queue-core regression can hide inside their noise.
     This basket schedules and drains events with no model at all,
-    exercising every queue path the simulator leans on: same-bucket
-    pushes, far-future pushes (ring rotations / overflow), urgent-vs-
-    normal priority ties, mid-drain nested scheduling, and cancellations.
-    The mix is a fixed xorshift64 stream — identical run to run.
+    exercising every queue path the simulator leans on: near-term pushes,
+    far-future timers, urgent-vs-normal priority ties, mid-drain nested
+    scheduling, and cancellations.  The mix is a fixed xorshift64 stream —
+    identical run to run.
     """
-    from repro.des.engine import _BUCKET_SHIFT, PRIORITY_URGENT, Environment
+    from repro.des.engine import PRIORITY_URGENT, Environment
 
-    bucket = 1 << _BUCKET_SHIFT
+    unit = 1 << 20  # delay unit in ps (~1 µs), part of the basket definition
     for rep in range(scale):
         env = Environment()
         seed = 88172645463325252 + rep
@@ -120,7 +120,7 @@ def _kernel_ops(scale: int) -> None:
             # Mid-drain push: what driver chains do on every hop.
             if depth:
                 r = rng()
-                delay = r % (bucket if r & 1 else 64 * bucket)
+                delay = r % (unit if r & 1 else 64 * unit)
                 env.schedule_fn(delay, lambda: tick(depth - 1),
                                 PRIORITY_URGENT if r & 4 else 1)
 
@@ -128,9 +128,9 @@ def _kernel_ops(scale: int) -> None:
         for _ in range(2000):
             r = rng()
             if r & 7 == 0:
-                delay = bucket * (r % 512)     # far: rotations/overflow
+                delay = unit * (r % 512)     # far-future timers
             else:
-                delay = r % (2 * bucket)       # near: current/adjacent
+                delay = r % (2 * unit)       # near-term
             if r & 3 == 0:
                 handles.append(env.schedule_callback(delay, lambda: None))
             else:

@@ -22,7 +22,7 @@ so the million-client runs fit a fixed RSS budget (asserted in CI via
 ``examples/million_clients.py``).  Determinism contract: all randomness
 flows from ``random.Random(seed)`` / :class:`~repro.sim.zipf.
 ZipfSampler`; byte-identical ``Timeline.canonical_bytes()`` across the
-calendar/heap × fast/slow flavour matrix is pinned by the test suite.
+fast/slow walk flavours is pinned by the test suite.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from typing import Any, Callable, Generator, Optional, Union
 from repro.core.channel import Channel, connect as _connect
 from repro.core.nic import SpinNIC
 from repro.des import engine as _engine
-from repro.des.engine import Environment, Event, Process, SimulationError, env_flag
+from repro.des.engine import Environment, Event, Process, SimulationError
 from repro.des.trace import Timeline
 from repro.machine.cluster import Cluster, Machine
 from repro.machine.config import (
@@ -53,16 +53,11 @@ _NIC_FACTORIES: dict[str, Callable] = {
 #: times; :meth:`Session.checkout` / :meth:`Session.release` amortize that
 #: construction by rewinding a finished session to its just-built state
 #: (the reset-equivalence tests pin reuse == fresh, trace-digest included).
-#: ``REPRO_SESSION_POOL=0`` disables pooling entirely.
 _POOL: dict[tuple, list["Session"]] = {}
 
 #: Sessions kept per key — sweeps are serial, so one is typically enough;
 #: a little headroom covers nested scenarios.
 _POOL_DEPTH = 4
-
-
-def _pool_enabled() -> bool:
-    return env_flag("REPRO_SESSION_POOL")
 
 
 #: Ambient observability capture (see :mod:`repro.obs.capture`): while a
@@ -229,8 +224,7 @@ class Session:
         """
         # An ambient capture must see every session built under it; the
         # pool hands back clusters without running __init__, so bypass it.
-        key = (spec.pool_key()
-               if _pool_enabled() and _OBS_HOOK is None else None)
+        key = spec.pool_key() if _OBS_HOOK is None else None
         if key is not None:
             stack = _POOL.get(key)
             if stack:

@@ -19,7 +19,7 @@ hand-wiring N drivers per scenario.  Lowering a spec:
    by the schedule horizon plus a configurable tail (the sampler is a
    pure reader: it adds kernel callbacks inside traffic runs only and
    never perturbs model timing, so traces stay byte-identical across
-   path/queue flavours).
+   path flavours).
 
 Passing ``record=[]`` appends one
 :class:`~repro.traffic.trace.TraceEvent` per offered request in issue

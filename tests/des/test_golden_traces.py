@@ -76,23 +76,3 @@ def test_timeline_sink_does_not_change_result():
     untraced = pingpong_half_rtt_ns(PP_SIZE, "spin_stream", "int")
     assert traced == untraced
 
-
-@pytest.mark.parametrize("mode", PINGPONG_MODES)
-def test_pingpong_trace_identical_across_queue_flavours(mode, monkeypatch):
-    """Calendar and heap queues produce byte-identical traces and values."""
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-    v_cal, tl_cal = _pingpong_run(mode)
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-    v_heap, tl_heap = _pingpong_run(mode)
-    assert v_cal == v_heap
-    assert tl_cal.canonical_bytes() == tl_heap.canonical_bytes()
-
-
-@pytest.mark.parametrize("mode", ("rdma", "spin"))
-def test_accumulate_trace_identical_across_queue_flavours(mode, monkeypatch):
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-    v_heap, tl_heap = _accumulate_run(mode)
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-    v_cal, tl_cal = _accumulate_run(mode)
-    assert v_cal == v_heap
-    assert tl_cal.canonical_bytes() == tl_heap.canonical_bytes()

@@ -1,10 +1,10 @@
 """Fault determinism: identical plans replay byte-identically everywhere.
 
 The injector's randomness comes from a dedicated ``random.Random`` whose
-draws happen in kernel-event order; both event cores and both fast-path
-flavours pin that order, so a faulted run's canonical trace bytes must
-match across every flavour combination — and a plan with no faults must
-leave the trace byte-identical to an unfaulted run.
+draws happen in kernel-event order; both fast-path flavours pin that
+order, so a faulted run's canonical trace bytes must match across them —
+and a plan with no faults must leave the trace byte-identical to an
+unfaulted run.
 """
 
 import pytest
@@ -15,15 +15,11 @@ from repro.sim.drivers import OpenLoopDriver, dedup_channel
 
 TAG = 53
 
-FLAVOURS = [
-    (queue, fast)
-    for queue in ("calendar", "heap")
-    for fast in (True, False)
-]
+#: Walk flavours: the fast callback chains and the generator reference paths.
+FLAVOURS = (True, False)
 
 
-def _set_flavour(monkeypatch, queue: str, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", queue)
+def _set_flavour(monkeypatch, fast: bool) -> None:
     monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
     monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
 
@@ -50,32 +46,32 @@ def _lossy_run(plan):
 
 def test_identical_plan_replays_identically_across_all_flavours(monkeypatch):
     results = []
-    for queue, fast in FLAVOURS:
-        _set_flavour(monkeypatch, queue, fast)
+    for fast in FLAVOURS:
+        _set_flavour(monkeypatch, fast)
         results.append(_lossy_run(FaultPlan(faults=(PacketLoss(0.3),),
                                             seed=23)))
     first = results[0]
     assert first[1] > 0, "loss never triggered a retransmit — weak fixture"
-    for other, (queue, fast) in zip(results[1:], FLAVOURS[1:]):
-        assert other == first, f"flavour ({queue}, fast={fast}) diverged"
+    for other, fast in zip(results[1:], FLAVOURS[1:]):
+        assert other == first, f"flavour (fast={fast}) diverged"
 
 
 def test_fault_seed_actually_steers_the_draws(monkeypatch):
-    _set_flavour(monkeypatch, "calendar", True)
+    _set_flavour(monkeypatch, True)
     a = _lossy_run(FaultPlan(faults=(PacketLoss(0.3),), seed=23))
     b = _lossy_run(FaultPlan(faults=(PacketLoss(0.3),), seed=24))
     assert a[2] != b[2]
 
 
 def test_empty_plan_leaves_trace_byte_identical_to_no_plan(monkeypatch):
-    _set_flavour(monkeypatch, "calendar", True)
+    _set_flavour(monkeypatch, True)
     unfaulted = _lossy_run(None)
     armed_empty = _lossy_run(FaultPlan())
     assert armed_empty == unfaulted
 
 
-@pytest.mark.parametrize("queue,fast", FLAVOURS)
-def test_same_flavour_rerun_is_bitwise_stable(monkeypatch, queue, fast):
-    _set_flavour(monkeypatch, queue, fast)
+@pytest.mark.parametrize("fast", FLAVOURS)
+def test_same_flavour_rerun_is_bitwise_stable(monkeypatch, fast):
+    _set_flavour(monkeypatch, fast)
     plan = FaultPlan(faults=(PacketLoss(0.3),), seed=23)
     assert _lossy_run(plan) == _lossy_run(plan)

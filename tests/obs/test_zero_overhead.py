@@ -3,9 +3,9 @@
 An attached observer is a pure reader — the probe slots fire into
 observer-side accumulators only, so the kernel schedules exactly the
 same events and ``Timeline.canonical_bytes()`` stays byte-identical to
-an unobserved run, on both event cores and both fast-path flavours.
-The exporter on top is deterministic: identical seed ⇒ byte-identical
-Perfetto JSON across every flavour combination.
+an unobserved run, on both fast-path flavours.  The exporter on top is
+deterministic: identical seed ⇒ byte-identical Perfetto JSON across
+both flavours.
 """
 
 import pytest
@@ -17,15 +17,11 @@ from repro.sim.drivers import OpenLoopDriver
 
 TAG = 40
 
-FLAVOURS = [
-    (queue, fast)
-    for queue in ("calendar", "heap")
-    for fast in (True, False)
-]
+#: Walk flavours: the fast callback chains and the generator reference paths.
+FLAVOURS = (True, False)
 
 
-def _set_flavour(monkeypatch, queue: str, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", queue)
+def _set_flavour(monkeypatch, fast: bool) -> None:
     monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
     monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
 
@@ -58,12 +54,12 @@ def _incast_run(observe: bool):
 
 def test_observed_run_is_trace_identical_across_all_flavours(monkeypatch):
     results = []
-    for queue, fast in FLAVOURS:
-        _set_flavour(monkeypatch, queue, fast)
+    for fast in FLAVOURS:
+        _set_flavour(monkeypatch, fast)
         unobserved_bytes, _ = _incast_run(observe=False)
         observed_bytes, trace = _incast_run(observe=True)
         assert observed_bytes == unobserved_bytes, (
-            f"observer perturbed the run on ({queue}, fast={fast})")
+            f"observer perturbed the run on fast={fast}")
         results.append((observed_bytes, trace))
     first_bytes, first_trace = results[0]
     for (other_bytes, other_trace), flavour in zip(results[1:], FLAVOURS[1:]):
@@ -116,8 +112,8 @@ def test_config_gates_each_probe_stream():
         assert obs.message_marks == []
 
 
-@pytest.mark.parametrize("queue,fast", FLAVOURS)
-def test_same_flavour_rerun_exports_identical_json(monkeypatch, queue, fast):
-    _set_flavour(monkeypatch, queue, fast)
+@pytest.mark.parametrize("fast", FLAVOURS)
+def test_same_flavour_rerun_exports_identical_json(monkeypatch, fast):
+    _set_flavour(monkeypatch, fast)
     (_, a), (_, b) = _incast_run(observe=True), _incast_run(observe=True)
     assert a == b

@@ -18,15 +18,11 @@ from repro.sim import ClosedLoopDriver, Metrics, PopulationDriver, Session
 
 TAG = 33
 
-FLAVOURS = [
-    (queue, fast)
-    for queue in ("calendar", "heap")
-    for fast in (True, False)
-]
+#: Walk flavours: the fast callback chains and the generator reference paths.
+FLAVOURS = (True, False)
 
 
-def _set_flavour(monkeypatch, queue: str, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", queue)
+def _set_flavour(monkeypatch, fast: bool) -> None:
     monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
     monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
 
@@ -199,14 +195,14 @@ class TestDeterminism:
 
     def test_canonical_bytes_identical_across_all_flavours(self, monkeypatch):
         """The acceptance contract: a fluid population run is
-        byte-identical across calendar/heap × fast/slow."""
+        byte-identical across the fast/slow walk flavours."""
         results = []
-        for queue, fast in FLAVOURS:
-            _set_flavour(monkeypatch, queue, fast)
+        for fast in FLAVOURS:
+            _set_flavour(monkeypatch, fast)
             summary, _, _, blob = _run_fluid(requests=60, population=6,
                                              think_ns=1500.0, trace=True)
             results.append((summary["completed"], blob))
         first = results[0]
         assert first[0] == 60
-        for got, (queue, fast) in zip(results[1:], FLAVOURS[1:]):
-            assert got == first, f"flavour ({queue}, fast={fast}) diverged"
+        for got, fast in zip(results[1:], FLAVOURS[1:]):
+            assert got == first, f"flavour (fast={fast}) diverged"

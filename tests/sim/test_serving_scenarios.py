@@ -13,15 +13,11 @@ from repro.campaign import all_scenarios, get_scenario
 
 SERVING_SCENARIOS = ("kv_serving", "tenant_overload")
 
-FLAVOURS = [
-    (queue, fast)
-    for queue in ("calendar", "heap")
-    for fast in (True, False)
-]
+#: Walk flavours: the fast callback chains and the generator reference paths.
+FLAVOURS = (True, False)
 
 
-def _set_flavour(monkeypatch, queue: str, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", queue)
+def _set_flavour(monkeypatch, fast: bool) -> None:
     monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
     monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
 
@@ -112,13 +108,13 @@ def test_tenant_overload_aggressor_degrades_itself_most():
 
 def test_kv_serving_result_identical_across_all_flavours(monkeypatch):
     """Acceptance: the serving scenario is deterministic across the
-    calendar/heap × fast/slow flavour matrix — every scalar in the
-    result dict (latency percentiles included) must agree exactly."""
+    fast/slow walk flavours — every scalar in the result dict (latency
+    percentiles included) must agree exactly."""
     results = []
-    for queue, fast in FLAVOURS:
-        _set_flavour(monkeypatch, queue, fast)
+    for fast in FLAVOURS:
+        _set_flavour(monkeypatch, fast)
         results.append(get_scenario("kv_serving").run(KV_SMALL))
     first = results[0]
     assert first["completed"] == 400
-    for got, (queue, fast) in zip(results[1:], FLAVOURS[1:]):
-        assert got == first, f"flavour ({queue}, fast={fast}) diverged"
+    for got, fast in zip(results[1:], FLAVOURS[1:]):
+        assert got == first, f"flavour (fast={fast}) diverged"

@@ -16,11 +16,7 @@ TAG = 0x51
 
 
 @pytest.fixture(autouse=True)
-def _fresh_pool(monkeypatch):
-    # Pin pooling on: these tests exercise the pool itself, so they must
-    # pass even when the suite runs under REPRO_SESSION_POOL=0 (tests
-    # that cover the disabled flavour override this per-test).
-    monkeypatch.setenv("REPRO_SESSION_POOL", "1")
+def _fresh_pool():
     _pool_clear()
     yield
     _pool_clear()
@@ -74,10 +70,9 @@ class TestResetEquivalence:
             sess.cluster.reset()
 
     @pytest.mark.parametrize("mode", PINGPONG_MODES)
-    def test_pingpong_values_stable_under_pooled_reuse(self, mode, monkeypatch):
+    def test_pingpong_values_stable_under_pooled_reuse(self, mode):
+        cold = pingpong_half_rtt_ns(64, mode, "int")  # empty pool: fresh build
         pooled = [pingpong_half_rtt_ns(64, mode, "int") for _ in range(3)]
-        monkeypatch.setenv("REPRO_SESSION_POOL", "0")
-        cold = pingpong_half_rtt_ns(64, mode, "int")
         assert pooled == [cold] * 3
 
 
@@ -104,14 +99,6 @@ class TestPoolPolicy:
             sess = Session.checkout(spec)
             sess.release()
         assert _POOL == {}
-
-    def test_pool_disabled_by_env_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SESSION_POOL", "0")
-        spec = ClusterSpec(config="int", with_memory=False)
-        sess = Session.checkout(spec)
-        sess.release()
-        assert _POOL == {}
-        assert Session.checkout(spec) is not sess
 
     def test_release_discards_sessions_with_pending_events(self):
         spec = ClusterSpec(config="int", with_memory=False)

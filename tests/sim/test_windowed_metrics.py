@@ -8,15 +8,11 @@ import repro.sim.metrics as metrics_mod
 from repro.sim import ClusterSpec, Metrics, QuantileSketch, Session, WindowedMetrics
 from repro.traffic import BurstyOnOff, TrafficRun, TrafficSpec, all_to_one
 
-FLAVOURS = [
-    (queue, fast)
-    for queue in ("calendar", "heap")
-    for fast in (True, False)
-]
+#: Walk flavours: the fast callback chains and the generator reference paths.
+FLAVOURS = (True, False)
 
 
-def _set_flavour(monkeypatch, queue: str, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", queue)
+def _set_flavour(monkeypatch, fast: bool) -> None:
     monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
     monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
 
@@ -191,7 +187,7 @@ class TestLatencyStatsSortedCache:
 
 
 class TestFlavourStability:
-    """The same traffic run bins identically on every flavour combo."""
+    """The same traffic run bins identically on every walk flavour."""
 
     def _run(self):
         spec = TrafficSpec(
@@ -205,13 +201,13 @@ class TestFlavourStability:
             TrafficRun(sess, spec, windows=windows).run()
         return json.dumps(windows.timeseries(), sort_keys=True)
 
-    def test_timeseries_byte_identical_across_all_four_flavours(
+    def test_timeseries_byte_identical_across_all_flavours(
             self, monkeypatch):
         results = []
-        for queue, fast in FLAVOURS:
-            _set_flavour(monkeypatch, queue, fast)
+        for fast in FLAVOURS:
+            _set_flavour(monkeypatch, fast)
             results.append(self._run())
         assert json.loads(results[0])["bins"], "no bins — weak fixture"
-        for other, (queue, fast) in zip(results[1:], FLAVOURS[1:]):
+        for other, fast in zip(results[1:], FLAVOURS[1:]):
             assert other == results[0], \
-                f"flavour ({queue}, fast={fast}) binned differently"
+                f"flavour (fast={fast}) binned differently"
