@@ -11,7 +11,8 @@ Run:  python examples/load_testing.py
 
 from repro.campaign.registry import get_scenario
 from repro.core import ReturnCode
-from repro.sim import ClosedLoopDriver, Metrics, OpenLoopDriver, Session
+from repro.sim import (ClosedLoopDriver, Metrics, OpenLoopDriver, Session,
+                       run_drivers)
 
 LOAD_TAG = 40
 
@@ -28,11 +29,10 @@ def open_loop_sweep() -> None:
             sess.connect(1, match_bits=LOAD_TAG, length=1 << 30,
                          header_handler=count_header_handler)
             metrics = Metrics()
-            OpenLoopDriver(
+            run_drivers(sess, [OpenLoopDriver(
                 sess, source=0, target=1, rate_mmps=rate_mmps, count=64,
                 size=16384, match_bits=LOAD_TAG, seed=1, metrics=metrics,
-            ).start()
-            sess.drain()
+            )])
             s = metrics.summary(elapsed_ps=sess.env.now)
         achieved = s["completed"] / (sess.env.now / 1e6)
         print(f"{rate_mmps:7.1f}M {achieved:8.2f}M "
@@ -51,12 +51,11 @@ def closed_loop_population() -> None:
         sess.connect(2, match_bits=LOAD_TAG,
                      header_handler=serve_header_handler)
         metrics = Metrics()
-        ClosedLoopDriver(
+        run_drivers(sess, [ClosedLoopDriver(
             sess, sources=(0, 1), clients=8, requests_per_client=12,
             think_ns=1000.0, target=2, size=512, match_bits=LOAD_TAG,
             seed=7, metrics=metrics,
-        ).start()
-        sess.drain()
+        )])
         s = metrics.summary(elapsed_ps=sess.env.now)
     print(f"  {s['completed']} requests, p50 {s['p50_ns']:.0f} ns, "
           f"p99 {s['p99_ns']:.0f} ns, "

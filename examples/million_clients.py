@@ -4,9 +4,9 @@
 Shows the aggregated population layer end to end: a
 :class:`PopulationDriver` representing 1,000,000 closed-loop clients as a
 *rate* (machine-repairman arrivals — per-request state exists only while
-a request is in flight), latencies accumulated in fixed-memory streaming
-sketches, and the registered ``kv_serving`` scenario with its
-time-resolved SLO curve.
+a request is in flight), latencies accumulated in fixed-memory sketches
+(``Metrics(sketch_capacity=512)``), and the registered ``kv_serving``
+scenario with its time-resolved SLO curve.
 
 This example doubles as the CI memory gate: it asserts that peak RSS
 stays inside a fixed budget no matter the population size — the property
@@ -20,7 +20,8 @@ import sys
 
 from repro.campaign.registry import get_scenario
 from repro.core import ReturnCode
-from repro.sim import Metrics, PopulationDriver, Session, ZipfSampler
+from repro.sim import (Metrics, PopulationDriver, Session, ZipfSampler,
+                       run_drivers)
 from repro.sim.serving import diurnal_profile
 
 TAG = 40
@@ -46,16 +47,14 @@ def million_client_population() -> None:
 
         sess.connect(2, match_bits=TAG, length=1 << 30,
                      header_handler=serve_header_handler)
-        metrics = Metrics(streaming=True)  # fixed-memory latency sinks
+        metrics = Metrics(sketch_capacity=512)  # fixed-memory latency sinks
         driver = PopulationDriver(
             sess, sources=(0, 1), population=1_000_000, requests=3000,
             think_ns=2.5e8, target=2, match_bits=TAG, seed=1,
             metrics=metrics, max_in_flight=4096,
             load_profile=diurnal_profile(500_000.0),  # day/night swing
         )
-        driver.start()
-        sess.drain()
-        driver.finalize()
+        run_drivers(sess, [driver])
         s = metrics.summary(elapsed_ps=sess.env.now)
     print(f"  completed {s['completed']}, p50 {s['p50_ns']:.0f} ns, "
           f"p99 {s['p99_ns']:.0f} ns, p999 {s['p999_ns']:.0f} ns")

@@ -31,7 +31,7 @@ import random
 from repro.campaign.registry import Param, scenario as campaign_scenario
 from repro.faults.plan import FaultPlan, NodeCrash, PacketLoss, link_flap
 from repro.portals.matching import MatchEntry
-from repro.sim.drivers import OpenLoopDriver, dedup_channel
+from repro.sim.drivers import OpenLoopDriver, dedup_channel, run_drivers
 from repro.sim.metrics import Metrics
 from repro.sim.session import ClusterSpec, Session
 from repro.usecases.ftbcast import FaultTolerantBroadcast, binomial_graph_peers
@@ -152,9 +152,7 @@ def _lossy_pingpong(loss: float, count: int, size: int, rate_mmps: float,
             size=size, match_bits=FAULT_TAG, seed=seed, metrics=metrics,
             timeout_ns=timeout_ns, retries=retries,
         )
-        driver.start()
-        sess.drain()
-        driver.finalize()
+        run_drivers(sess, [driver])
         metrics.observe_fabric(sess.cluster.fabric, elapsed_ps=sess.env.now)
         summary = metrics.summary(elapsed_ps=sess.env.now)
         duplicates = channel.entry.spin.hpu_memory.vars.get("dups", 0)
@@ -224,11 +222,7 @@ def _link_flap_recovery(fanin: int, count: int, size: int, rate_mmps: float,
             )
             for source in range(fanin)
         ]
-        for driver in drivers:
-            driver.start()
-        sess.drain()
-        for driver in drivers:
-            driver.finalize()
+        run_drivers(sess, drivers)
         fabric = sess.cluster.fabric
         metrics.observe_fabric(fabric, elapsed_ps=sess.env.now)
         summary = metrics.summary(elapsed_ps=sess.env.now)

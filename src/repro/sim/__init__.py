@@ -7,15 +7,18 @@ the reproduction:
 ``session``    :class:`ClusterSpec` + :class:`Session` — declarative
                cluster construction, validated channel/ME installation,
                run control, teardown
-``drivers``    :class:`OpenLoopDriver` / :class:`ClosedLoopDriver` /
-               :class:`PopulationDriver` — composable load generators
-               over any installed channel (the population driver scales
-               a closed loop to millions of clients as rate, not
-               objects)
+``drivers``    load generators over any installed channel, all on one
+               :class:`~repro.sim.driver_core.DriverCore`.  Arrivals
+               come from a *schedule* (:class:`ScheduleDriver`, and
+               :class:`OpenLoopDriver` over Poisson gaps) or from a
+               *population* (:class:`ClosedLoopDriver` per client,
+               :class:`PopulationDriver` as one aggregated rate for
+               millions of clients)
 ``metrics``    :class:`Metrics` / :class:`LatencyStats` — per-stream
                throughput, completion counts, drops, latency
-               percentiles; fixed-memory via the shared
-               :class:`QuantileSketch` (``streaming=True``)
+               percentiles, all stored in one :class:`QuantileSketch`
+               per stream: exact by default, fixed-memory with
+               ``Metrics(sketch_capacity=512)``
 ``zipf``       :class:`ZipfSampler` — seeded rejection-free skewed key
                sampling for serving workloads
 ``scenarios``  the load-scenario family registered with the campaign
@@ -38,7 +41,9 @@ from repro.sim.drivers import (
     ClosedLoopDriver,
     OpenLoopDriver,
     PopulationDriver,
+    ScheduleDriver,
     SizeMix,
+    run_drivers,
 )
 from repro.sim.metrics import (
     LatencyStats,
@@ -58,9 +63,11 @@ __all__ = [
     "OpenLoopDriver",
     "PopulationDriver",
     "QuantileSketch",
+    "ScheduleDriver",
     "Session",
     "SizeMix",
     "WindowedMetrics",
     "ZipfSampler",
     "percentile_ps",
+    "run_drivers",
 ]

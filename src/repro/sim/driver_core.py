@@ -1,9 +1,17 @@
 """Shared measurement/reliability core for workload drivers.
 
-:class:`DriverCore` is the engine every load shape builds on — open
-loop, closed loop, and aggregated population (see
-:mod:`repro.sim.drivers`).  It owns the parts that must behave
-identically no matter how arrivals are generated:
+:class:`DriverCore` is the engine every load shape builds on.  Arrivals
+come from one of two places:
+
+* a **schedule** — :class:`ScheduleDriver` walks exact float-picosecond
+  offsets (the open-loop driver's lazy Poisson gaps from
+  :func:`poisson_offsets_ps`, or a traffic edge's materialised source);
+* a **population** — :class:`~repro.sim.drivers.ClosedLoopDriver` (one
+  loop per client) or :class:`~repro.sim.drivers.PopulationDriver` (the
+  same population as one aggregated rate).
+
+:class:`DriverCore` owns the parts that must behave identically no
+matter how arrivals are generated:
 
 * acked puts with per-request latency measured issue → Portals ACK
   (fresh MD/EQ per attempt, first-ACK-wins);
@@ -32,17 +40,34 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, Optional, Sequence, Union
+from typing import (Callable, Generator, Iterable, Iterator, Optional,
+                    Sequence, Union)
 
-from repro.des.engine import Event
+from repro.des.engine import Event, Process
 from repro.portals.events import EventQueue
 from repro.portals.ni import MemoryDescriptor
 from repro.sim.metrics import Metrics
 
-__all__ = ["DriverCore", "PendingRequest", "SizeMix"]
+__all__ = ["DriverCore", "PendingRequest", "ScheduleDriver", "SizeMix",
+           "poisson_offsets_ps"]
 
 #: 1 million messages/second expressed as a picosecond interarrival.
-_PS_PER_MMPS = 1_000_000
+_PS_PER_MMPS = 1_000_000.0
+
+
+def poisson_offsets_ps(rng: random.Random, rate_mmps: float, count: int,
+                       start_ps: float = 0.0) -> Iterator[float]:
+    """Exact float-ps offsets of ``count`` exponential interarrivals.
+
+    A generator: each gap is drawn from ``rng`` only when the next
+    offset is asked for, so a walk that draws per-request values from
+    the same ``rng`` between arrivals keeps its interleaved draw order.
+    """
+    gap = _PS_PER_MMPS / rate_mmps
+    exact = start_ps
+    for _ in range(count):
+        exact += rng.expovariate(1.0) * gap
+        yield exact
 
 
 @dataclass(frozen=True)
@@ -244,14 +269,8 @@ class DriverCore:
             env.process(self._issue_attempt(pend),
                         name=f"rexmit[{pend.stream}#{pend.seq}]")
             return
-        pend.done = True
-        pend.timer = None
-        stats.drop()
-        self._retire(pend)
-        self.metrics.bump("lost_requests", 1)
-        windowed = self.metrics.windowed
-        if windowed is not None:
-            windowed.observe_drop(env.now, stream=pend.stream)
+        pend.timer = None  # this timer has fired; nothing to cancel
+        self._drop(pend)
         pend.gate.succeed(env.now)
 
     def _retire(self, pend: PendingRequest) -> None:
@@ -259,6 +278,19 @@ class DriverCore:
         for md_id in pend.md_ids:
             mds.pop(md_id, None)  # keep the MD table bounded
         self._pending.pop(pend.seq, None)
+
+    def _drop(self, pend: PendingRequest) -> None:
+        """Record ``pend`` as lost: stream drop, note, windowed sink."""
+        pend.done = True
+        if pend.timer is not None:
+            pend.timer.cancel()
+            pend.timer = None
+        self._retire(pend)
+        self.metrics.stream(pend.stream).drop()
+        self.metrics.bump("lost_requests", 1)
+        windowed = self.metrics.windowed
+        if windowed is not None:
+            windowed.observe_drop(pend.machine.env.now, stream=pend.stream)
 
     def finalize(self) -> int:
         """Reconcile requests whose ACK never arrived; call after draining.
@@ -273,21 +305,56 @@ class DriverCore:
         there is nothing left to reconcile here.
         """
         lost = 0
-        windowed = self.metrics.windowed
         for pend in list(self._pending.values()):
-            if pend.done:
-                continue
-            pend.done = True
-            if pend.timer is not None:
-                pend.timer.cancel()
-                pend.timer = None
-            self._retire(pend)
-            self.metrics.stream(pend.stream).drop()
-            if windowed is not None:
-                windowed.observe_drop(pend.machine.env.now,
-                                      stream=pend.stream)
-            lost += 1
+            if not pend.done:
+                self._drop(pend)
+                lost += 1
         self._pending.clear()
-        if lost:
-            self.metrics.bump("lost_requests", lost)
         return lost
+
+
+class ScheduleDriver(DriverCore):
+    """Open-loop load from ``source``: one put per scheduled arrival.
+
+    ``schedule`` is an iterable of exact float-picosecond offsets from
+    the start of the walk, walked lazily.  Arrival ``i`` sits at
+    ``round(offset i)`` — each absolute offset is rounded once, never
+    per gap, so non-integer gaps carry their fractional error and the
+    schedule never drifts.  Each arrival draws its request from ``rng``
+    (default ``random.Random(seed)``) and hands it to its own client
+    process, independent of completions.  An offset that rounds below
+    its predecessor raises :class:`ValueError`.
+    """
+
+    def __init__(self, session, *, source: int, schedule: Iterable[float],
+                 rng: Optional[random.Random] = None, **kwargs):
+        super().__init__(session, **kwargs)
+        self.source = source
+        self.schedule = schedule
+        self.rng = rng if rng is not None else random.Random(self.seed)
+
+    def start(self) -> Process:
+        """Launch the arrival walk; returns it (fires when all posted)."""
+        return self.session.process(self._arrivals(),
+                                    name=f"arrivals[{self.stream}]")
+
+    def _arrivals(self) -> Generator:
+        env = self.session.env
+        machine = self.session[self.source]
+        elapsed = 0
+        for index, exact in enumerate(self.schedule):
+            when = round(exact)
+            if when != elapsed:
+                if when < elapsed:
+                    raise ValueError(
+                        f"arrival {index} at {when} ps precedes the previous "
+                        f"arrival at {elapsed} ps (schedule must not decrease)")
+                yield env.timeout(when - elapsed)
+                elapsed = when
+            request = self.request_kwargs(self.rng, index)
+            env.process(self._one(machine, request),
+                        name=f"{self.stream}[{index}]")
+
+    def _one(self, machine, request: dict) -> Generator:
+        yield from self._tracked_put(machine, self.stream, request)
+        # The gate resolves on ACK; open-loop arrivals never wait for it.

@@ -2,9 +2,10 @@
 
 A driver turns an installed channel (or any matching entry) into *load*:
 
-* :class:`OpenLoopDriver` — an arrival process posts puts at a configured
-  offered rate (Poisson-style interarrivals drawn from its own seeded RNG),
-  independent of completions — the canonical way to find saturation;
+* :class:`OpenLoopDriver` — a :class:`ScheduleDriver` posting puts at a
+  configured offered rate (Poisson interarrivals drawn from its own seeded
+  RNG), independent of completions — the canonical way to find
+  saturation;
 * :class:`ClosedLoopDriver` — N concurrent clients, each issuing the next
   request only after the previous one completed, with optional think time
   — the canonical way to model a population of users;
@@ -17,11 +18,9 @@ A driver turns an installed channel (or any matching entry) into *load*:
 All of them share :class:`~repro.sim.driver_core.DriverCore`: request
 latency measured from the moment the request is issued (client CPU
 queueing included) to the arrival of the Portals ACK back at the
-initiator, fed into a :class:`~repro.sim.metrics.Metrics` sink.
-Determinism: every random draw comes from ``random.Random`` instances
-seeded from the driver's ``seed`` parameter — never the process-global RNG
-— so a driver run is reproducible regardless of executor seeding, worker
-count, or interleaving with other drivers.
+initiator, fed into a :class:`~repro.sim.metrics.Metrics` sink, and the
+same determinism contract (every draw from the driver's seeded RNGs).
+:func:`run_drivers` starts a set of drivers, drains, and reconciles.
 
 Reliability (opt-in)
 --------------------
@@ -46,77 +45,41 @@ import random
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.des.engine import Process
-from repro.sim.driver_core import (_PS_PER_MMPS, DriverCore, PendingRequest,
-                                   SizeMix)
+from repro.sim.driver_core import (DriverCore, ScheduleDriver, SizeMix,
+                                   poisson_offsets_ps)
 
 __all__ = [
     "ClosedLoopDriver",
     "OpenLoopDriver",
     "PopulationDriver",
+    "ScheduleDriver",
     "SizeMix",
     "dedup_channel",
+    "run_drivers",
 ]
 
-# Pre-split names: the measurement/reliability core lived in this module
-# as ``_DriverBase``; downstream code (traffic layer, user scenarios)
-# still imports it from here.
-_DriverBase = DriverCore
-_PendingRequest = PendingRequest
 
-
-class OpenLoopDriver(DriverCore):
+class OpenLoopDriver(ScheduleDriver):
     """Offered-load generator: puts at ``rate_mmps`` regardless of replies.
 
-    The arrival process draws exponential interarrivals (mean
-    ``1/rate_mmps`` microseconds) from its seeded RNG — or fixed gaps with
-    ``poisson=False`` — and hands each request to its own client process,
-    so posting overhead ``o`` contends for host cores exactly as concurrent
-    senders would.  Latency percentiles under increasing ``rate_mmps``
-    trace the saturation curve.
+    A :class:`~repro.sim.driver_core.ScheduleDriver` over exponential
+    interarrivals (mean ``1/rate_mmps`` microseconds).  The gaps are drawn
+    lazily from the driver's ``random.Random(seed)``, interleaved with
+    each request's own draws (size mix, ``make_request``).  Each request
+    runs in its own client process, so posting overhead ``o`` contends
+    for host cores exactly as concurrent senders would.  Latency
+    percentiles under increasing ``rate_mmps`` trace the saturation
+    curve.
     """
 
     def __init__(self, session, *, source: int, rate_mmps: float,
-                 count: int, poisson: bool = True, **kwargs: Any):
-        super().__init__(session, **kwargs)
+                 count: int, **kwargs: Any):
         if rate_mmps <= 0:
             raise ValueError("offered rate must be positive")
         if count < 1:
             raise ValueError("need at least one request")
-        self.source = source
-        self.rate_mmps = rate_mmps
-        self.count = count
-        self.poisson = poisson
-
-    def start(self) -> Process:
-        """Launch the arrival process; returns it (fires when all posted)."""
-        return self.session.process(self._arrivals(), name=f"open[{self.stream}]")
-
-    def _arrivals(self) -> Generator:
-        env = self.session.env
-        machine = self.session[self.source]
-        rng = random.Random(self.seed)
-        mean_gap_ps = _PS_PER_MMPS / self.rate_mmps
-        # Arrival i sits at round(exact offset i), not at a sum of
-        # per-gap roundings: rounding each gap independently accumulates
-        # a systematic rate drift whenever the mean gap is not an integer
-        # (e.g. 3 Mmps = 333333.3 ps), so N fixed-gap requests would span
-        # N*round(mean) instead of N*mean.  Carrying the fractional error
-        # keeps every arrival within 0.5 ps of the exact schedule.
-        exact_ps = 0.0
-        elapsed_ps = 0
-        for index in range(self.count):
-            exact_ps += (rng.expovariate(1.0) * mean_gap_ps if self.poisson
-                         else mean_gap_ps)
-            gap = round(exact_ps) - elapsed_ps
-            if gap:
-                yield env.timeout(gap)
-                elapsed_ps += gap
-            request = self.request_kwargs(rng, index)
-            env.process(self._one(machine, request), name=f"req[{index}]")
-
-    def _one(self, machine, request: dict) -> Generator:
-        yield from self._tracked_put(machine, self.stream, request)
-        # The gate resolves on ACK; open-loop clients never wait for it.
+        super().__init__(session, source=source, schedule=(), **kwargs)
+        self.schedule = poisson_offsets_ps(self.rng, rate_mmps, count)
 
 
 class ClosedLoopDriver(DriverCore):
@@ -136,7 +99,7 @@ class ClosedLoopDriver(DriverCore):
 
     def __init__(self, session, *, sources: Sequence[int], clients: int,
                  requests_per_client: int, think_ns: float = 0.0,
-                 per_client_streams: bool = False, **kwargs: Any):
+                 **kwargs: Any):
         super().__init__(session, **kwargs)
         if not sources:
             raise ValueError("need at least one source rank")
@@ -146,7 +109,6 @@ class ClosedLoopDriver(DriverCore):
         self.clients = clients
         self.requests_per_client = requests_per_client
         self.think_ns = think_ns
-        self.per_client_streams = per_client_streams
 
     def start(self) -> list[Process]:
         """Launch every client loop; returns their processes."""
@@ -159,14 +121,12 @@ class ClosedLoopDriver(DriverCore):
         env = self.session.env
         machine = self.session[self.sources[client_index % len(self.sources)]]
         rng = random.Random(self.seed * 1_000_003 + client_index)
-        stream = (f"{self.stream}.c{client_index}" if self.per_client_streams
-                  else self.stream)
         think_ps = self.think_ns * 1000.0
         for index in range(self.requests_per_client):
             if think_ps:
                 yield env.timeout(round(rng.expovariate(1.0) * think_ps))
             request = self.request_kwargs(rng, index)
-            gate = yield from self._tracked_put(machine, stream, request)
+            gate = yield from self._tracked_put(machine, self.stream, request)
             yield gate
 
 
@@ -190,12 +150,9 @@ class PopulationDriver(DriverCore):
     O(concurrency), not O(population): a million-client population costs
     the same as a hundred-client one.
 
-    ``fluid=False`` drops back to today's per-client simulation — it
-    delegates to :class:`ClosedLoopDriver` with ``clients=population``
-    (``requests`` must divide evenly), byte-identical to constructing
-    that driver directly.  Small fluid populations match the per-client
-    driver's summary statistics; the fluid form exists for populations
-    where per-client objects are the bottleneck.
+    Small populations match the per-client :class:`ClosedLoopDriver`'s
+    summary statistics; this form exists for populations where
+    per-client objects are the bottleneck.
 
     ``load_profile`` (optional) maps absolute sim time in ns to a
     non-negative rate multiplier — diurnal swings, ramps, overload
@@ -208,7 +165,7 @@ class PopulationDriver(DriverCore):
     """
 
     def __init__(self, session, *, sources: Sequence[int], population: int,
-                 requests: int, think_ns: float, fluid: bool = True,
+                 requests: int, think_ns: float,
                  load_profile: Optional[Callable[[float], float]] = None,
                  max_in_flight: Optional[int] = None, **kwargs: Any):
         super().__init__(session, **kwargs)
@@ -220,58 +177,36 @@ class PopulationDriver(DriverCore):
             raise ValueError("need at least one request")
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError("max_in_flight must be positive (or None)")
+        if think_ns <= 0:
+            raise ValueError(
+                "PopulationDriver needs think_ns > 0 (the aggregate arrival "
+                "rate is population/think; use ClosedLoopDriver for "
+                "think-free load)"
+            )
         self.sources = tuple(sources)
         self.population = population
         self.requests = requests
         self.think_ns = think_ns
-        self.fluid = fluid
         self.load_profile = load_profile
         self.max_in_flight = max_in_flight
         #: High-water mark of concurrent in-flight requests — the actual
         #: memory footprint of the population (asserted bounded in tests).
         self.peak_in_flight = 0
-        self._delegate: Optional[ClosedLoopDriver] = None
-        if fluid:
-            if think_ns <= 0:
-                raise ValueError(
-                    "fluid mode needs think_ns > 0 (the aggregate arrival "
-                    "rate is population/think; use ClosedLoopDriver or "
-                    "fluid=False for think-free load)"
-                )
-            self._think_ps = think_ns * 1000.0
-            self._rng = random.Random(self.seed)
-            self._issued = 0
-            self._in_flight = 0
-            self._arrival_timer = None
-        else:
-            if load_profile is not None:
-                raise ValueError(
-                    "load_profile requires fluid=True (per-client loops "
-                    "have no aggregate rate to modulate)"
-                )
-            if requests % population:
-                raise ValueError(
-                    f"requests ({requests}) must divide evenly over the "
-                    f"population ({population}) in per-client mode"
-                )
-            delegate_kwargs = dict(kwargs)
-            delegate_kwargs["metrics"] = self.metrics
-            self._delegate = ClosedLoopDriver(
-                session, sources=self.sources, clients=population,
-                requests_per_client=requests // population,
-                think_ns=think_ns, **delegate_kwargs,
-            )
+        #: Times the ``load_profile`` rate floor engaged (a profile value
+        #: below it was raised to keep a zero trough from deadlocking).
+        self.rate_floor_hits = 0
+        self._think_ps = think_ns * 1000.0
+        self._rng = random.Random(self.seed)
+        self._issued = 0
+        self._in_flight = 0
+        self._arrival_timer = None
 
-    def start(self):
-        """Launch the load; returns the arrival process (or client list)."""
-        if self._delegate is not None:
-            return self._delegate.start()
+    def start(self) -> Process:
+        """Launch the load; returns the arrival process."""
         return self.session.process(self._prime(),
                                     name=f"population[{self.stream}]")
 
     def finalize(self) -> int:
-        if self._delegate is not None:
-            return self._delegate.finalize()
         if self._arrival_timer is not None:
             self._arrival_timer.cancel()
             self._arrival_timer = None
@@ -301,7 +236,9 @@ class PopulationDriver(DriverCore):
             # completion to re-arm the timer, so a profile trough of
             # exactly zero would otherwise strand the remaining requests
             # forever.  The floor turns "off" into "very rare polls".
-            scale = max(scale, 1e-6)
+            if scale < 1e-6:
+                scale = 1e-6
+                self.rate_floor_hits += 1
         return idle * scale / self._think_ps
 
     def _schedule_next(self) -> None:
@@ -346,6 +283,17 @@ class PopulationDriver(DriverCore):
         # ACK (or timeout-drop) landed: one client returns to thinking.
         self._in_flight -= 1
         self._schedule_next()
+
+
+def run_drivers(session, drivers: Sequence[DriverCore]) -> int:
+    """Start every driver, drain the session, reconcile lost requests.
+
+    Returns the number of requests lost across all drivers.
+    """
+    for driver in drivers:
+        driver.start()
+    session.drain()
+    return sum(driver.finalize() for driver in drivers)
 
 
 def dedup_channel(session, rank: int, *, match_bits: int,

@@ -4,6 +4,8 @@ Workload drivers feed per-request samples into a :class:`Metrics` sink,
 one stream per channel/client/tenant; :meth:`Metrics.summary` folds every
 stream into JSON-serialisable scalars (the campaign contract), including
 nearest-rank latency percentiles computed from simulation timestamps.
+Every stream stores its latencies in one :class:`QuantileSketch`: exact
+by default, fixed-memory with ``Metrics(sketch_capacity=N)``.
 
 All arithmetic is integer-picosecond until the final report, so summaries
 are bit-identical across runs, worker processes, and hosts.
@@ -25,11 +27,10 @@ are byte-identical to the pre-windowed code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.sim.sketch import QuantileSketch
+from repro.sim.sketch import QuantileSketch, percentile_ps
 
 __all__ = [
     "LatencyStats",
@@ -40,34 +41,18 @@ __all__ = [
 ]
 
 
-def percentile_ps(sorted_samples: list[int], q: float) -> int:
-    """Nearest-rank percentile of pre-sorted integer samples (q in [0, 1])."""
-    if not sorted_samples:
-        raise ValueError("percentile of an empty sample set")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile {q} outside [0, 1]")
-    rank = max(1, math.ceil(q * len(sorted_samples)))
-    return sorted_samples[rank - 1]
-
-
 @dataclass
 class LatencyStats:
     """Accumulates request latencies (integer picoseconds) for one stream.
 
-    Two storage modes share one interface:
-
-    * list mode (default) keeps every sample in ``samples_ps`` and
-      reports exact nearest-rank percentiles — bit-identical to the
-      pre-streaming code;
-    * ``streaming=True`` routes samples into a :class:`QuantileSketch`
-      plus an exact running sum, so memory stays fixed no matter how
-      many requests complete.  Below ``sketch_capacity`` samples the
-      sketch is exact, so small streaming runs report the same
-      percentiles the list mode would.  Streaming summaries add a
-      ``p999_ns`` key (the tail a million-client SLO curve is about).
+    Samples feed one :class:`QuantileSketch` plus an exact running sum,
+    so the mean is exact whatever the sketch keeps.  The default
+    ``sketch_capacity=None`` never compacts: percentiles are exact
+    nearest-rank answers over every sample.  A bounded capacity keeps
+    memory fixed no matter how many requests complete, and is still
+    exact until the first compaction.
     """
 
-    samples_ps: list[int] = field(default_factory=list)
     bytes_total: int = 0
     started: int = 0
     completed: int = 0
@@ -77,27 +62,14 @@ class LatencyStats:
     #: logical requests, so goodput is throughput net of retransmits.
     timeouts: int = 0
     retransmits: int = 0
-    #: Fixed-memory mode: samples feed ``sketch``/``sum_ps`` instead of
-    #: ``samples_ps``.  Immutable after construction — flipping it on a
-    #: stream that already holds list samples would silently drop them.
-    streaming: bool = False
-    sketch_capacity: int = 512
-    #: Exact running latency sum (streaming mode only) — the mean stays
-    #: exact even when the percentiles come from the sketch.
+    sketch_capacity: Optional[int] = None
+    #: Exact running latency sum — the mean stays exact even when the
+    #: percentiles come from a compacted sketch.
     sum_ps: int = 0
-    sketch: Optional[QuantileSketch] = field(default=None, repr=False,
-                                             compare=False)
-    #: Cached sorted view of ``samples_ps`` — every percentile/summary
-    #: call used to re-sort the whole sample list; the cache is built on
-    #: first use and invalidated by :meth:`record`.  (The length check in
-    #: :meth:`_ordered` also heals direct ``samples_ps`` appends, which
-    #: :meth:`Metrics.total` does when merging streams.)
-    _sorted: Optional[list[int]] = field(default=None, repr=False,
-                                         compare=False)
+    sketch: QuantileSketch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.streaming and self.sketch is None:
-            self.sketch = QuantileSketch(self.sketch_capacity)
+        self.sketch = QuantileSketch(self.sketch_capacity)
 
     def start(self) -> None:
         self.started += 1
@@ -105,12 +77,8 @@ class LatencyStats:
     def record(self, latency_ps: int, nbytes: int = 0) -> None:
         if latency_ps < 0:
             raise ValueError(f"negative latency {latency_ps}")
-        if self.streaming:
-            self.sketch.add(latency_ps)
-            self.sum_ps += latency_ps
-        else:
-            self.samples_ps.append(latency_ps)
-            self._sorted = None
+        self.sketch.add(latency_ps)
+        self.sum_ps += latency_ps
         self.completed += 1
         self.bytes_total += nbytes
 
@@ -123,18 +91,11 @@ class LatencyStats:
 
     @property
     def sample_count(self) -> int:
-        """Recorded latency samples, whichever mode holds them."""
-        return self.sketch.count if self.streaming else len(self.samples_ps)
-
-    def _ordered(self) -> list[int]:
-        if self._sorted is None or len(self._sorted) != len(self.samples_ps):
-            self._sorted = sorted(self.samples_ps)
-        return self._sorted
+        """Recorded latency samples."""
+        return self.sketch.count
 
     def percentile_ns(self, q: float) -> float:
-        if self.streaming:
-            return self.sketch.percentile(q) / 1000.0
-        return percentile_ps(self._ordered(), q) / 1000.0
+        return self.sketch.percentile(q) / 1000.0
 
     def summary(self, elapsed_ps: Optional[int] = None) -> dict:
         """Scalars for this stream (latencies in ns, rates per second)."""
@@ -146,22 +107,15 @@ class LatencyStats:
             "timeouts": self.timeouts,
             "retransmits": self.retransmits,
         }
-        if self.streaming:
-            if self.sketch.count:
-                out.update(
-                    p50_ns=self.sketch.percentile(0.50) / 1000.0,
-                    p99_ns=self.sketch.percentile(0.99) / 1000.0,
-                    p999_ns=self.sketch.percentile(0.999) / 1000.0,
-                    max_ns=self.sketch.max / 1000.0,
-                    mean_ns=self.sum_ps / self.sketch.count / 1000.0,
-                )
-        elif self.samples_ps:
-            ordered = self._ordered()
+        sketch = self.sketch
+        if sketch.count:
+            p50, p99, p999 = sketch.percentiles((0.50, 0.99, 0.999))
             out.update(
-                p50_ns=percentile_ps(ordered, 0.50) / 1000.0,
-                p99_ns=percentile_ps(ordered, 0.99) / 1000.0,
-                max_ns=ordered[-1] / 1000.0,
-                mean_ns=sum(ordered) / len(ordered) / 1000.0,
+                p50_ns=p50 / 1000.0,
+                p99_ns=p99 / 1000.0,
+                p999_ns=p999 / 1000.0,
+                max_ns=sketch.max / 1000.0,
+                mean_ns=self.sum_ps / sketch.count / 1000.0,
             )
         if elapsed_ps is not None:
             # A legitimate zero-elapsed run (nothing ever scheduled) still
@@ -186,13 +140,10 @@ class Metrics:
     at a portal table) that ride along into the same result dict.
     """
 
-    def __init__(self, *, streaming: bool = False,
-                 sketch_capacity: int = 512) -> None:
-        #: Default storage mode for streams created by :meth:`stream` —
-        #: ``streaming=True`` gives every stream a fixed-memory
-        #: :class:`QuantileSketch` instead of an unbounded sample list
-        #: (the population-scenario default; see :class:`LatencyStats`).
-        self.streaming = streaming
+    def __init__(self, *, sketch_capacity: Optional[int] = None) -> None:
+        #: Sketch capacity for streams created by :meth:`stream` —
+        #: ``None`` keeps exact percentiles; a bound (the population
+        #: scenarios use 512) keeps every stream fixed-memory.
         self.sketch_capacity = sketch_capacity
         self.streams: dict[str, LatencyStats] = {}
         self.notes: dict[str, float] = {}
@@ -213,9 +164,7 @@ class Metrics:
             return self.streams[name]
         except KeyError:
             stats = self.streams[name] = LatencyStats(
-                streaming=self.streaming,
-                sketch_capacity=self.sketch_capacity,
-            )
+                sketch_capacity=self.sketch_capacity)
             return stats
 
     def note(self, name: str, value: float) -> None:
@@ -312,30 +261,18 @@ class Metrics:
     def total(self) -> LatencyStats:
         """Merged view across every stream (fresh object, order-stable).
 
-        If any stream is streaming the roll-up is too: streaming streams
-        sketch-merge, list streams feed their samples in append order.
-        Merge order is the sorted stream names, so the roll-up is
-        deterministic regardless of stream creation order.
+        Stream sketches merge in sorted-name order, so the roll-up is
+        deterministic regardless of stream creation order.  The roll-up
+        is exact when every stream is; otherwise it is bounded by the
+        largest stream capacity.
         """
-        streaming = any(s.streaming for s in self.streams.values())
-        if streaming:
-            capacity = max(s.sketch_capacity for s in self.streams.values()
-                           if s.streaming)
-            merged = LatencyStats(streaming=True, sketch_capacity=capacity)
-        else:
-            merged = LatencyStats()
+        bounded = [s.sketch_capacity for s in self.streams.values()
+                   if s.sketch_capacity is not None]
+        merged = LatencyStats(sketch_capacity=max(bounded, default=None))
         for name in sorted(self.streams):
             s = self.streams[name]
-            if streaming:
-                if s.streaming:
-                    merged.sketch.merge(s.sketch)
-                    merged.sum_ps += s.sum_ps
-                else:
-                    for value in s.samples_ps:
-                        merged.sketch.add(value)
-                        merged.sum_ps += value
-            else:
-                merged.samples_ps.extend(s.samples_ps)
+            merged.sketch.merge(s.sketch)
+            merged.sum_ps += s.sum_ps
             merged.bytes_total += s.bytes_total
             merged.started += s.started
             merged.completed += s.completed
@@ -523,8 +460,9 @@ class WindowedMetrics:
                 "max_ns": None,
             }
             if b is not None and b.sketch.count:
-                entry["p50_ns"] = b.sketch.percentile(0.50) / 1000.0
-                entry["p99_ns"] = b.sketch.percentile(0.99) / 1000.0
+                p50, p99 = b.sketch.percentiles((0.50, 0.99))
+                entry["p50_ns"] = p50 / 1000.0
+                entry["p99_ns"] = p99 / 1000.0
                 entry["max_ns"] = b.sketch.max / 1000.0
             seconds = self.window_ps * 1e-12
             entry["throughput_rps"] = entry["completed"] / seconds

@@ -39,7 +39,8 @@ from repro.core.handlers import ReturnCode
 from repro.machine.config import config_by_name
 from repro.network.loggp import ROUTING_POLICIES
 from repro.portals.matching import MatchEntry
-from repro.sim.drivers import ClosedLoopDriver, OpenLoopDriver, SizeMix
+from repro.sim.drivers import (ClosedLoopDriver, OpenLoopDriver, SizeMix,
+                               run_drivers)
 from repro.sim.metrics import Metrics
 from repro.sim.session import ClusterSpec, Session
 
@@ -96,9 +97,7 @@ def _pingpong_open_load(rate_mmps: float, count: int, size: int, mode: str,
             sess, source=0, target=1, rate_mmps=rate_mmps, count=count,
             size=size, match_bits=LOAD_TAG, seed=seed, metrics=metrics,
         )
-        driver.start()
-        sess.drain()
-        driver.finalize()
+        run_drivers(sess, [driver])
         metrics.observe_pt_drops(sess[1])
         summary = metrics.summary(elapsed_ps=sess.env.now)
     return {
@@ -198,9 +197,7 @@ def _kvstore_load(nservers: int, nclients: int, clients: int, requests: int,
             target=-1, make_request=make_request, seed=seed,
             metrics=metrics, stream="insert",
         )
-        driver.start()
-        sess.drain()
-        driver.finalize()
+        run_drivers(sess, [driver])
         summary = metrics.summary(elapsed_ps=sess.env.now)
     stored = sum(len(c) for table in tables for c in table.values())
     return {
@@ -294,11 +291,7 @@ def _mixed_tenants(tenants: int, count: int, rate_mmps: float, config: str,
                 match_bits=match_bits, seed=seed * 7919 + tenant,
                 metrics=metrics, stream=f"t{tenant}_{profile}",
             ))
-        for driver in drivers:
-            driver.start()
-        sess.drain()
-        for driver in drivers:
-            driver.finalize()
+        run_drivers(sess, drivers)
         metrics.observe_pt_drops(sess[target])
         summary = metrics.summary(elapsed_ps=sess.env.now)
     out = {
@@ -384,11 +377,7 @@ def _incast_load(fanin: int, count: int, size: int, rate_mmps: float,
             )
             for source in range(fanin)
         ]
-        for driver in drivers:
-            driver.start()
-        sess.drain()
-        for driver in drivers:
-            driver.finalize()
+        run_drivers(sess, drivers)
         metrics.observe_fabric(sess.cluster.fabric, elapsed_ps=sess.env.now)
         summary = metrics.summary(elapsed_ps=sess.env.now)
     return {
@@ -440,11 +429,7 @@ def _permutation_traffic(nhosts: int, shift: int, count: int, size: int,
                 match_bits=LOAD_TAG, seed=seed * 6151 + host,
                 metrics=metrics, stream="perm",
             ))
-        for driver in drivers:
-            driver.start()
-        sess.drain()
-        for driver in drivers:
-            driver.finalize()
+        run_drivers(sess, drivers)
         metrics.observe_fabric(sess.cluster.fabric, elapsed_ps=sess.env.now)
         summary = metrics.summary(elapsed_ps=sess.env.now)
         core = _core_link_stats(sess.cluster.fabric)
@@ -508,11 +493,7 @@ def _congested_tenants(tenants: int, count: int, rate_mmps: float, depth: int,
                 match_bits=match_bits, seed=seed * 7919 + tenant,
                 metrics=metrics, stream=f"t{tenant}_{profile}",
             ))
-        for driver in drivers:
-            driver.start()
-        sess.drain()
-        for driver in drivers:
-            driver.finalize()
+        run_drivers(sess, drivers)
         metrics.observe_pt_drops(sess[target])
         metrics.observe_fabric(sess.cluster.fabric, elapsed_ps=sess.env.now)
         summary = metrics.summary(elapsed_ps=sess.env.now)

@@ -32,7 +32,7 @@ import random
 
 from repro.campaign.registry import Param, scenario as campaign_scenario
 from repro.core.handlers import ReturnCode
-from repro.sim.drivers import PopulationDriver
+from repro.sim.drivers import PopulationDriver, run_drivers
 from repro.sim.metrics import Metrics, WindowedMetrics
 from repro.sim.scenarios import KV_WALK_BUDGET, LOAD_TAG, _kv_hash, _round2
 from repro.sim.session import Session
@@ -167,7 +167,7 @@ def _kv_serving(population: int, requests: int, nservers: int, nclients: int,
                 "user_hdr": {"bucket": bucket, "key": key},
             }
 
-        metrics = Metrics(streaming=True)
+        metrics = Metrics(sketch_capacity=512)
         metrics.windowed = WindowedMetrics(window_ns=window_ns)
         driver = PopulationDriver(
             sess, sources=tuple(range(nclients)), population=population,
@@ -176,9 +176,7 @@ def _kv_serving(population: int, requests: int, nservers: int, nclients: int,
             make_request=make_request, seed=seed, metrics=metrics,
             stream="serve",
         )
-        driver.start()
-        sess.drain()
-        driver.finalize()
+        run_drivers(sess, [driver])
         # Server 0 has a portal table; the pure-sender client ranks keep
         # the keys present-but-zero (the observe_pt_drops convention).
         metrics.observe_pt_drops(sess[nclients])
@@ -245,7 +243,7 @@ def _tenant_overload(tenants: int, population: int, requests: int,
         raise ValueError("overload multiplier must be >= 1")
     target = 0
     with Session.pair(config, nodes=tenants + 1) as sess:
-        metrics = Metrics(streaming=True)
+        metrics = Metrics(sketch_capacity=512)
         metrics.windowed = WindowedMetrics(window_ns=window_ns)
         drivers = []
         for tenant in range(tenants):
@@ -272,11 +270,7 @@ def _tenant_overload(tenants: int, population: int, requests: int,
                 seed=seed * 7919 + tenant, metrics=metrics,
                 stream=f"t{tenant}",
             ))
-        for driver in drivers:
-            driver.start()
-        sess.drain()
-        for driver in drivers:
-            driver.finalize()
+        run_drivers(sess, drivers)
         metrics.observe_pt_drops(sess[target])
         summary = metrics.summary(elapsed_ps=sess.env.now)
         windowed = metrics.windowed

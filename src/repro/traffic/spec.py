@@ -36,10 +36,10 @@ exact position).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.sim.drivers import SizeMix
+from repro.sim.driver_core import _PS_PER_MMPS, SizeMix, poisson_offsets_ps
 
 __all__ = [
     "BurstyOnOff",
@@ -56,9 +56,6 @@ __all__ = [
 
 #: Default match-bits tag for traffic-spec sink entries.
 TRAFFIC_TAG = 57
-
-#: 1 million messages/second expressed as a picosecond interarrival.
-_PS_PER_MMPS = 1_000_000.0
 
 
 def _check_rate(rate_mmps: float, what: str) -> None:
@@ -111,11 +108,8 @@ class Poisson:
             raise ValueError(f"Poisson: negative phase {self.phase_ns}")
 
     def offsets_ps(self, rng: random.Random) -> Iterator[float]:
-        gap = _PS_PER_MMPS / self.rate_mmps
-        exact = self.phase_ns * 1000.0
-        for _ in range(self.count):
-            exact += rng.expovariate(1.0) * gap
-            yield exact
+        return poisson_offsets_ps(rng, self.rate_mmps, self.count,
+                                  self.phase_ns * 1000.0)
 
 
 @dataclass(frozen=True)
@@ -123,11 +117,10 @@ class BurstyOnOff:
     """Alternating on/off phases with per-phase offered rates.
 
     Each cycle is an *on* window of ``on_ns`` at ``rate_on_mmps`` followed
-    by an *off* window of ``off_ns`` at ``rate_off_mmps`` (0 = silent).
-    ``poisson=True`` draws exponential gaps inside each phase instead of
-    fixed ones; arrivals never spill across a phase boundary.  This is the
-    ``network_tester`` bursting generator: the transient the windowed
-    metrics exist to expose.
+    by an *off* window of ``off_ns`` at ``rate_off_mmps`` (0 = silent),
+    with fixed gaps inside each phase; arrivals never spill across a
+    phase boundary.  This is the ``network_tester`` bursting generator:
+    the transient the windowed metrics exist to expose.
     """
 
     on_ns: float
@@ -135,7 +128,6 @@ class BurstyOnOff:
     rate_on_mmps: float
     rate_off_mmps: float = 0.0
     cycles: int = 1
-    poisson: bool = False
     phase_ns: float = 0.0
 
     def __post_init__(self) -> None:
@@ -152,14 +144,15 @@ class BurstyOnOff:
         if self.phase_ns < 0:
             raise ValueError(f"BurstyOnOff: negative phase {self.phase_ns}")
 
-    def _phase(self, rng: random.Random, start_ps: float, dur_ps: float,
+    @staticmethod
+    def _phase(start_ps: float, dur_ps: float,
                rate_mmps: float) -> Iterator[float]:
         if rate_mmps <= 0:
             return
         gap = _PS_PER_MMPS / rate_mmps
         exact = start_ps
         while True:
-            exact += rng.expovariate(1.0) * gap if self.poisson else gap
+            exact += gap
             if exact > start_ps + dur_ps:
                 return
             yield exact
@@ -169,9 +162,9 @@ class BurstyOnOff:
         off_ps = self.off_ns * 1000.0
         t = self.phase_ns * 1000.0
         for _ in range(self.cycles):
-            yield from self._phase(rng, t, on_ps, self.rate_on_mmps)
+            yield from self._phase(t, on_ps, self.rate_on_mmps)
             t += on_ps
-            yield from self._phase(rng, t, off_ps, self.rate_off_mmps)
+            yield from self._phase(t, off_ps, self.rate_off_mmps)
             t += off_ps
 
 
@@ -219,7 +212,7 @@ class Edge:
     """One directed traffic flow: a source process bound to ``src → dst``.
 
     ``size`` accepts an int, a sequence of ints, or a
-    :class:`~repro.sim.drivers.SizeMix`; ``make_request`` (same signature
+    :class:`~repro.sim.driver_core.SizeMix`; ``make_request`` (same signature
     as the driver hook: ``(rng, index) -> dict``) overrides the whole
     request.  ``stream`` names the metrics stream (default
     ``"e<src>-<dst>"``); ``match_bits`` defaults to the spec-level tag.

@@ -8,10 +8,12 @@ from repro.sim import (
     LatencyStats,
     Metrics,
     OpenLoopDriver,
+    ScheduleDriver,
     Session,
     SizeMix,
     percentile_ps,
 )
+from repro.traffic import Periodic
 
 TAG = 33
 
@@ -248,52 +250,16 @@ class TestOpenLoopDriver:
         assert summary["started"] == 5
         assert summary["bytes"] == 5 * 96
 
-    def _arrival_times(self, rate_mmps: float, count: int,
-                       poisson: bool) -> list[int]:
-        sess = _serve_session()
-        times = []
-
-        def make_request(rng, index):
-            times.append(sess.env.now)
-            return {"target": 1, "nbytes": 64, "match_bits": TAG,
-                    "pt_index": 0}
-
-        OpenLoopDriver(
-            sess, source=0, target=1, rate_mmps=rate_mmps, count=count,
-            match_bits=TAG, seed=5, poisson=poisson,
-            make_request=make_request,
-        ).start()
-        sess.drain()
-        assert len(times) == count
-        return times
-
-    def test_fixed_gap_arrivals_carry_fractional_error(self):
-        """Non-integer mean gaps must not accumulate systematic rate drift.
-
-        At 3 Mmps the mean gap is 333333.33 ps; rounding each gap
-        independently would put arrival i at i*333333 — a growing offset
-        (-10 ps by the 30th request, unbounded beyond) and an achieved
-        rate measurably below the offered one.  Carrying the fractional
-        error pins every arrival within 0.5 ps of the exact schedule.
-        """
-        count, rate = 30, 3.0
-        mean_gap_ps = 1_000_000 / rate
-        times = self._arrival_times(rate, count, poisson=False)
-        for i, t in enumerate(times):
-            assert t == round((i + 1) * mean_gap_ps)
-        # N requests span N*mean: the offered rate is achieved exactly.
-        assert abs(times[-1] - count * mean_gap_ps) <= 0.5
-        # The old per-gap rounding's signature drift is gone.
-        assert times[-1] != count * round(mean_gap_ps)
-
     def test_poisson_arrivals_track_the_exact_sample_path(self):
-        """Rounding error must not random-walk for Poisson arrivals either."""
+        """Rounding error must not random-walk for Poisson arrivals."""
         import random as _random
 
         rate, count, seed = 2.7, 25, 5
         rng = _random.Random(seed)
         exact = 0.0
-        times = self._arrival_times(rate, count, poisson=True)
+        times = _arrival_times(OpenLoopDriver, rate_mmps=rate, count=count,
+                               seed=seed)
+        assert len(times) == count
         for t in times:
             exact += rng.expovariate(1.0) * (1_000_000 / rate)
             assert abs(t - exact) <= 0.5
@@ -324,6 +290,55 @@ class TestOpenLoopDriver:
         assert driver.finalize() == 0
 
 
+def _arrival_times(driver_cls, **kwargs) -> list[int]:
+    """Sim times at which a driver issued each of its requests."""
+    sess = _serve_session()
+    times = []
+
+    def make_request(rng, index):
+        times.append(sess.env.now)
+        return {"target": 1, "nbytes": 64, "match_bits": TAG,
+                "pt_index": 0}
+
+    driver_cls(sess, source=0, target=1, match_bits=TAG,
+               make_request=make_request, **kwargs).start()
+    sess.drain()
+    return times
+
+
+class TestScheduleDriver:
+    def test_fixed_gap_arrivals_carry_fractional_error(self):
+        """Non-integer mean gaps must not accumulate systematic rate drift.
+
+        At 3 Mmps the mean gap is 333333.33 ps; rounding each gap
+        independently would put arrival i at i*333333 — a growing offset
+        (-10 ps by the 30th request, unbounded beyond) and an achieved
+        rate measurably below the offered one.  Rounding each absolute
+        offset once pins arrival i at round(exact offset i).
+        """
+        count, rate = 30, 3.0
+        source = Periodic(rate_mmps=rate, count=count)
+        exact = list(source.offsets_ps(None))
+        times = _arrival_times(ScheduleDriver, schedule=exact)
+        assert times == [round(offset) for offset in exact]
+        # N requests span (N-1)*mean: the offered rate is achieved exactly.
+        mean_gap_ps = 1_000_000 / rate
+        assert abs(times[-1] - (count - 1) * mean_gap_ps) <= 0.5
+        # The per-gap rounding's signature drift is absent.
+        assert times[-1] != (count - 1) * round(mean_gap_ps)
+
+    def test_decreasing_offset_is_rejected(self):
+        """A schedule that runs backwards is a bug in its source; the
+        walk names the offending arrival instead of clamping it."""
+        with pytest.raises(ValueError, match="arrival 2 at 1000 ps"):
+            _arrival_times(ScheduleDriver, schedule=[1000.0, 5000.0, 1000.0])
+
+    def test_equal_offsets_issue_together(self):
+        times = _arrival_times(ScheduleDriver,
+                               schedule=[0.0, 700.4, 700.2, 1500.0])
+        assert times == [0, 700, 700, 1500]
+
+
 class TestClosedLoopDriver:
     def _run(self, clients: int = 4, think_ns: float = 200.0, seed: int = 9):
         sess = _serve_session(nodes=3, target=2)
@@ -331,17 +346,16 @@ class TestClosedLoopDriver:
         ClosedLoopDriver(
             sess, sources=(0, 1), clients=clients, requests_per_client=5,
             think_ns=think_ns, target=2, size=256, match_bits=TAG,
-            seed=seed, metrics=metrics, per_client_streams=True,
+            seed=seed, metrics=metrics,
         ).start()
         sess.drain()
         return metrics, sess.env.now
 
     def test_every_client_completes_its_requests(self):
         metrics, _ = self._run()
-        assert len(metrics.streams) == 4
-        for stats in metrics.streams.values():
-            assert stats.completed == 5
-            assert stats.in_flight == 0
+        stats = metrics.stream("load")
+        assert stats.completed == 4 * 5
+        assert stats.in_flight == 0
 
     def test_closed_loop_keeps_one_request_in_flight_per_client(self):
         """Total requests = clients * requests_per_client, none dropped."""

@@ -1,9 +1,7 @@
-"""PopulationDriver: fluid arrivals, per-client fallback, bounded memory.
+"""PopulationDriver: aggregated arrivals, bounded memory.
 
-The aggregated driver's contract has three legs:
+The aggregated driver's contract has two legs:
 
-* ``fluid=False`` **is** today's ``ClosedLoopDriver`` — same RNG
-  schedule, same processes, byte-identical summaries;
 * small fluid populations reproduce the per-client driver's summary
   statistics (machine-repairman aggregation is statistically exact for
   exponential think times);
@@ -40,9 +38,9 @@ def _serve_session(nodes: int = 2, target: int = 1, **overrides) -> Session:
 
 
 def _run_fluid(requests=200, population=8, think_ns=2000.0, seed=7,
-               streaming=True, trace=False, **driver_kwargs):
+               sketch_capacity=512, trace=False, **driver_kwargs):
     with _serve_session(trace=trace) as sess:
-        metrics = Metrics(streaming=streaming)
+        metrics = Metrics(sketch_capacity=sketch_capacity)
         driver = PopulationDriver(
             sess, sources=(0,), population=population, requests=requests,
             think_ns=think_ns, target=1, match_bits=TAG, seed=seed,
@@ -64,21 +62,6 @@ class TestValidation:
                                  requests=8, think_ns=0.0, target=1,
                                  match_bits=TAG)
 
-    def test_per_client_mode_needs_divisible_requests(self):
-        with _serve_session() as sess:
-            with pytest.raises(ValueError, match="divide"):
-                PopulationDriver(sess, sources=(0,), population=4,
-                                 requests=10, think_ns=100.0, fluid=False,
-                                 target=1, match_bits=TAG)
-
-    def test_load_profile_requires_fluid(self):
-        with _serve_session() as sess:
-            with pytest.raises(ValueError, match="load_profile"):
-                PopulationDriver(sess, sources=(0,), population=4,
-                                 requests=8, think_ns=100.0, fluid=False,
-                                 load_profile=lambda t: 1.0,
-                                 target=1, match_bits=TAG)
-
     def test_negative_profile_rejected_at_runtime(self):
         with _serve_session() as sess:
             driver = PopulationDriver(
@@ -90,36 +73,6 @@ class TestValidation:
                 sess.drain()
 
 
-class TestPerClientFallback:
-    def test_fluid_false_is_byte_identical_to_closed_loop(self):
-        """population=N, fluid=False must *be* ClosedLoopDriver(clients=N):
-        same think draws, same request schedule, same elapsed time — the
-        whole summary dict, throughput included, is equal."""
-        kwargs = dict(think_ns=2000.0, target=1, match_bits=TAG, seed=7)
-
-        with _serve_session() as sess:
-            m1 = Metrics()
-            ref = ClosedLoopDriver(sess, sources=(0,), clients=8,
-                                   requests_per_client=25, metrics=m1,
-                                   **kwargs)
-            ref.start()
-            sess.drain()
-            ref.finalize()
-            expected = m1.summary(elapsed_ps=sess.env.now)
-
-        with _serve_session() as sess:
-            m2 = Metrics()
-            driver = PopulationDriver(sess, sources=(0,), population=8,
-                                      requests=200, fluid=False, metrics=m2,
-                                      **kwargs)
-            driver.start()
-            sess.drain()
-            driver.finalize()
-            actual = m2.summary(elapsed_ps=sess.env.now)
-
-        assert actual == expected
-
-
 class TestFluidEquivalence:
     def test_small_fluid_population_matches_closed_loop_statistics(self):
         """The acceptance property: a small fluid population reproduces
@@ -127,7 +80,7 @@ class TestFluidEquivalence:
         latency/throughput agree statistically (different arrival
         microstructure, same offered load and service path)."""
         fluid, _, lost, _ = _run_fluid(requests=400, population=8,
-                                       think_ns=2000.0, streaming=False)
+                                       think_ns=2000.0, sketch_capacity=None)
         assert lost == 0
 
         with _serve_session() as sess:
@@ -175,11 +128,16 @@ class TestFluidEquivalence:
         """A diurnal profile that hits exactly zero with nothing in
         flight must still finish (the rate floor turns 'off' into 'very
         rare'), not strand the remaining requests forever."""
-        summary, _, lost, _ = _run_fluid(
+        summary, driver, lost, _ = _run_fluid(
             requests=20, population=4, think_ns=100.0,
             load_profile=lambda t_ns: 0.0 if t_ns < 1000.0 else 1.0)
         assert summary["completed"] == 20
         assert lost == 0
+        assert driver.rate_floor_hits > 0
+
+    def test_rate_floor_idle_without_a_profile(self):
+        _, driver, _, _ = _run_fluid(requests=50)
+        assert driver.rate_floor_hits == 0
 
 
 class TestDeterminism:

@@ -1,10 +1,10 @@
 """QuantileSketch as a shared primitive: merge, rank error, exactness.
 
-The sketch moved from the windowed-metrics internals to
-``repro.sim.sketch`` so both ``LatencyStats`` (``streaming=True``) and
-``WindowedMetrics`` share one fixed-memory implementation.  These tests
-pin the promotion contract: byte-compatible exactness below capacity,
-bounded rank error above it, and a deterministic ``merge()``.
+The sketch lives in ``repro.sim.sketch`` so both ``LatencyStats`` (the
+one latency store of every metrics stream) and ``WindowedMetrics`` share
+one implementation.  These tests pin its contract: exactness below
+capacity (and forever with ``capacity=None``), bounded rank error above
+it, and a deterministic ``merge()``.
 """
 
 import random
@@ -42,6 +42,18 @@ class TestExactBelowCapacity:
         ordered = sorted(samples)
         for q in (0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0):
             assert sketch.percentile(q) == percentile_ps(ordered, q), q
+
+    def test_unbounded_capacity_never_compacts(self):
+        rng = random.Random(4)
+        samples = [rng.randrange(1_000_000) for _ in range(5000)]
+        sketch = QuantileSketch(capacity=None)
+        for s in samples:
+            sketch.add(s)
+        assert sketch.retained() == len(samples)
+        ordered = sorted(samples)
+        qs = (0.0, 0.001, 0.5, 0.99, 0.999, 1.0)
+        assert sketch.percentiles(qs) == [percentile_ps(ordered, q)
+                                          for q in qs]
 
     def test_retained_never_exceeds_exact_count_below_capacity(self):
         sketch = QuantileSketch(capacity=64)
@@ -163,26 +175,30 @@ class TestStreamingLatencyStats:
             stats.start()
             stats.record(s, nbytes=8)
 
-    def test_below_capacity_summary_matches_list_mode(self):
+    def test_exact_summary_matches_sorted_oracle(self):
+        """Below capacity (and always when unbounded) a summary is the
+        nearest-rank answer over the sorted samples, with exact sum and
+        max."""
         rng = random.Random(2)
         samples = [rng.randrange(100_000) for _ in range(200)]
-        plain, streamed = LatencyStats(), LatencyStats(streaming=True)
-        self.record_all(plain, samples)
-        self.record_all(streamed, samples)
-        a = plain.summary(elapsed_ps=10_000_000)
-        b = streamed.summary(elapsed_ps=10_000_000)
-        # Streaming adds the p999 tail key; every shared key is equal —
-        # exact-below-capacity means no approximation at all here.
-        assert set(b) - set(a) == {"p999_ns"}
-        for key in a:
-            assert a[key] == b[key], key
+        ordered = sorted(samples)
+        for capacity in (None, 512):
+            stats = LatencyStats(sketch_capacity=capacity)
+            self.record_all(stats, samples)
+            got = stats.summary(elapsed_ps=10_000_000)
+            for key, q in (("p50_ns", 0.5), ("p99_ns", 0.99),
+                           ("p999_ns", 0.999)):
+                assert got[key] == percentile_ps(ordered, q) / 1000.0, key
+            assert got["max_ns"] == ordered[-1] / 1000.0
+            assert got["mean_ns"] == sum(ordered) / len(ordered) / 1000.0
+            assert got["completed"] == got["started"] == 200
+            assert got["bytes"] == 200 * 8
 
     def test_streaming_memory_is_fixed(self):
-        stats = LatencyStats(streaming=True, sketch_capacity=128)
+        stats = LatencyStats(sketch_capacity=128)
         for i in range(100_000):
             stats.start()
             stats.record(i)
-        assert stats.samples_ps == []  # nothing accumulates in the list
         assert stats.sketch.retained() < 128 * 16
         assert stats.sample_count == 100_000
         # mean stays exact (running sum), not sketch-approximate
@@ -190,20 +206,21 @@ class TestStreamingLatencyStats:
             sum(range(100_000)) / 100_000 / 1000.0)
 
     def test_metrics_streaming_flag_propagates_to_new_streams(self):
-        metrics = Metrics(streaming=True, sketch_capacity=64)
-        stream = metrics.stream("a")
-        assert stream.streaming and stream.sketch.capacity == 64
-        assert not Metrics().stream("a").streaming
+        """The metrics-level sketch capacity reaches every new stream;
+        the default stays exact."""
+        metrics = Metrics(sketch_capacity=64)
+        assert metrics.stream("a").sketch.capacity == 64
+        assert Metrics().stream("a").sketch.capacity is None
 
     def test_total_sketch_merges_streaming_streams(self):
-        metrics = Metrics(streaming=True)
+        metrics = Metrics(sketch_capacity=512)
         for name, base in (("a", 1000), ("b", 5000)):
             st = metrics.stream(name)
             for i in range(50):
                 st.start()
                 st.record(base + i)
         total = metrics.total()
-        assert total.streaming
+        assert total.sketch_capacity == 512
         assert total.sample_count == 100
         assert total.completed == 100
         # exact below capacity: the roll-up median is the true one
@@ -213,19 +230,20 @@ class TestStreamingLatencyStats:
                percentile_ps(every, 0.5)
 
     def test_total_folds_list_streams_into_a_streaming_rollup(self):
-        metrics = Metrics()  # default: list mode
+        """Exact streams mixed with a bounded one roll up bounded."""
+        metrics = Metrics()  # default: exact
         plain = metrics.stream("plain")
         for i in range(10):
             plain.start()
             plain.record(100 + i)
-        streamed = LatencyStats(streaming=True)
+        streamed = LatencyStats(sketch_capacity=512)
         streamed.start()
         streamed.record(1_000_000)
         metrics.streams["streamed"] = streamed
         total = metrics.total()
-        assert total.streaming
+        assert total.sketch_capacity == 512
         assert total.sample_count == 11
         assert total.summary()["max_ns"] == 1000.0
 
     def test_percentile_keys_absent_with_zero_samples(self):
-        assert "p50_ns" not in LatencyStats(streaming=True).summary()
+        assert "p50_ns" not in LatencyStats().summary()

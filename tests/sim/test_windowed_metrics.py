@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-import repro.sim.metrics as metrics_mod
-from repro.sim import ClusterSpec, Metrics, QuantileSketch, Session, WindowedMetrics
+from repro.sim import ClusterSpec, QuantileSketch, Session, WindowedMetrics
 from repro.traffic import BurstyOnOff, TrafficRun, TrafficSpec, all_to_one
 
 #: Walk flavours: the fast callback chains and the generator reference paths.
@@ -135,55 +134,6 @@ class TestQuantileSketch:
             b.add(v)
         for q in (0.1, 0.5, 0.9, 0.99):
             assert a.percentile(q) == b.percentile(q)
-
-
-class TestLatencyStatsSortedCache:
-    """Regression: repeated summaries must not re-sort the sample list."""
-
-    def _counting_sorted(self, monkeypatch):
-        calls = {"n": 0}
-        real = sorted
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        # LatencyStats resolves `sorted` through the module globals, so a
-        # module-level patch intercepts exactly its calls.
-        monkeypatch.setattr(metrics_mod, "sorted", counting, raising=False)
-        return calls
-
-    def test_repeated_summaries_sort_once(self, monkeypatch):
-        m = Metrics()
-        stats = m.stream("load")
-        for i in range(200):
-            stats.record((i * 37) % 1000 + 1, 64)
-        calls = self._counting_sorted(monkeypatch)
-        first = stats.summary()
-        for _ in range(5):
-            assert stats.summary() == first
-            stats.percentile_ns(0.5)
-        assert calls["n"] == 1
-
-    def test_new_sample_invalidates_the_cache(self, monkeypatch):
-        m = Metrics()
-        stats = m.stream("load")
-        for i in range(50):
-            stats.record(i + 1, 64)
-        calls = self._counting_sorted(monkeypatch)
-        p_before = stats.percentile_ns(1.0)
-        stats.record(10**9, 64)  # new max must be visible immediately
-        assert stats.percentile_ns(1.0) > p_before
-        assert calls["n"] == 2
-
-    def test_total_rollup_sees_samples_added_behind_its_back(self):
-        # Metrics.total() extends samples_ps directly on a scratch
-        # LatencyStats; the cache keys on length so the rollup stays right.
-        m = Metrics()
-        m.stream("a").record(100, 0)
-        m.stream("b").record(900, 0)
-        total = m.total()
-        assert total.percentile_ns(1.0) == 0.9
 
 
 class TestFlavourStability:

@@ -82,6 +82,20 @@ class TestLowering:
             run.finalize()
         assert run.metrics.total().completed == run.offered_total()
 
+    def test_decreasing_custom_source_is_rejected(self):
+        """Every built-in source is non-decreasing, so a custom source
+        that steps backwards is a bug: the walk names the arrival."""
+
+        class Backwards:
+            def offsets_ps(self, rng):
+                return iter((0.0, 3000.0, 2000.0))
+
+        spec = TrafficSpec(edges=(Edge(src=0, dst=1, source=Backwards()),))
+        with Session(ClusterSpec(nodes=2)) as sess:
+            run = TrafficRun(sess, spec)
+            with pytest.raises(ValueError, match="arrival 2 at 2000 ps"):
+                run.run()
+
 
 class TestDeterministicDraws:
     def test_poisson_schedules_identical_across_runs(self):
