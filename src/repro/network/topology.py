@@ -14,17 +14,19 @@ Minimal paths traverse 1 switch (same edge switch), 3 switches (same pod) or
 
 The hop count comes from pod arithmetic (O(1)); :meth:`FatTree.build_graph`
 materializes the same topology as a :mod:`networkx` graph so tests can
-cross-validate the arithmetic against real shortest paths.
+cross-validate the arithmetic against real shortest paths.  networkx is
+only loaded for that cross-validation, never on the simulation path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from repro.network.loggp import NetworkParams
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["FatTree", "UniformLatency"]
 
@@ -142,6 +144,8 @@ class FatTree:
         Nodes: ``("host", i)``, ``("edge", e)``, ``("agg", pod, i)``,
         ``("core", i)``.  Edges follow the k-ary fat-tree wiring.
         """
+        import networkx as nx
+
         k = self.radix
         g = nx.Graph()
         needed_edges = -(-self.nhosts // self.hosts_per_edge)
@@ -163,6 +167,8 @@ class FatTree:
 
     def graph_switch_hops(self, a: int, b: int) -> int:
         """Switch count on a networkx shortest path (slow; tests only)."""
+        import networkx as nx
+
         g = self.build_graph()
         path = nx.shortest_path(g, ("host", a), ("host", b))
         return sum(1 for node in path if node[0] != "host")

@@ -4,11 +4,20 @@ Serving workloads are not uniform: a KV tier in front of a million
 clients sees a hot head (a few keys take most of the traffic) and a cold
 tail.  :class:`ZipfSampler` draws ranks ``0..n-1`` with
 ``P(rank i) ∝ 1/(i+1)**theta`` using the Gray et al. transform
-popularised by YCSB: O(n) precompute of the generalised harmonic number
-``zetan`` (cached per ``(n, theta)``, so a million-key sampler is built
-once per process), then **O(1) per draw with no rejection loop** — every
-call consumes exactly one uniform variate, which keeps the draw count
-(and therefore the DES event schedule) a pure function of the seed.
+popularised by YCSB: an O(1) closed form for the generalised harmonic
+number ``zetan`` (cached per ``(n, theta)``), then **O(1) per draw with
+no rejection loop** — every call consumes exactly one uniform variate,
+which keeps the draw count (and therefore the DES event schedule) a pure
+function of the seed.
+
+``zetan`` is an exact ``math.fsum`` head (terms ``1..63``, or all of them
+for ``n <= 128``) plus an Euler–Maclaurin tail: the integral, half of
+each end term, and the B2–B8 corrections.  The truncated remainder is
+about ``1e-20`` (absolute) for ``theta < 1``, so the result is within a
+few ulp of the correctly rounded sum: relative error <= 1e-14 (tested),
+1.2e-16 at ``n = 10**6, theta = 0.99``, and ``theta = 0`` gives ``n``
+exactly.  Being ``fsum``-based, the bits do not depend on the Python
+version.
 
 Ranks 0 and 1 are exact (``P(0) = 1/zetan``, ``P(1) = 0.5**theta /
 zetan``); the remaining ranks use the continuous approximation of the
@@ -18,6 +27,7 @@ rejection-free draws.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 from typing import Optional
@@ -25,10 +35,34 @@ from typing import Optional
 __all__ = ["ZipfSampler"]
 
 
+#: First term of the Euler–Maclaurin tail; terms below it are summed exactly.
+_TAIL_START = 64
+#: ``B_2k / (2k)!`` for k = 1..4: the B2, B4, B6 and B8 correction weights.
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)
+
+
 @lru_cache(maxsize=32)
 def _zetan(n: int, theta: float) -> float:
-    """Generalised harmonic number ``sum_{i=1..n} i**-theta``."""
-    return sum(pow(i, -theta) for i in range(1, n + 1))
+    """Generalised harmonic number ``sum_{i=1..n} i**-theta``, in O(1)."""
+    if n <= 2 * _TAIL_START:
+        return math.fsum(pow(i, -theta) for i in range(1, n + 1))
+    a = _TAIL_START
+    s = 1.0 - theta
+    terms = [pow(i, -theta) for i in range(1, a)]
+    # ∫_a^n x**-theta dx = (n**s - a**s) / s; expm1 avoids the
+    # cancellation when n**s is close to a**s (theta near 1).
+    x = s * math.log(n / a)
+    terms.append((pow(a, s) * math.expm1(x) if x < 1.0
+                  else pow(n, s) - pow(a, s)) / s)
+    terms.append(0.5 * (pow(a, -theta) + pow(n, -theta)))
+    # f^(m)(x) = c * x**(-theta - m) with
+    # c = (-theta)(-theta - 1)...(-theta - m + 1).
+    c = -theta
+    for k, weight in enumerate(_EM_WEIGHTS):
+        m = 2 * k + 1
+        terms.append(weight * c * (pow(n, -theta - m) - pow(a, -theta - m)))
+        c *= (-theta - m) * (-theta - m - 1)
+    return math.fsum(terms)
 
 
 class ZipfSampler:
@@ -87,4 +121,5 @@ class ZipfSampler:
         if uz < 1.0 + self._half_pow:
             return 1
         rank = int(self.n * pow(self._eta * u - self._eta + 1.0, self._alpha))
+        # The clamp only absorbs float rounding as u approaches 1.0.
         return min(rank, self.n - 1)

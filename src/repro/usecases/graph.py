@@ -9,13 +9,14 @@ verified against networkx on the full graph.
 from __future__ import annotations
 
 import math
-from typing import Generator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Generator
 
 from repro.core.handlers import ReturnCode
 from repro.experiments.common import pair_session
 from repro.machine.config import MachineConfig, config_by_name
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["DistributedGraph"]
 
@@ -97,5 +98,7 @@ class DistributedGraph:
 
     def reference_sssp(self, source) -> dict:
         """networkx ground truth."""
+        import networkx as nx
+
         lengths = nx.single_source_dijkstra_path_length(self.graph, source)
         return {v: lengths.get(v, math.inf) for v in self.graph.nodes}

@@ -1,10 +1,12 @@
 """ZipfSampler: analytic frequencies, determinism, rejection-free draws."""
 
+import math
 import random
 
 import pytest
 
 from repro.sim import ZipfSampler
+from repro.sim.zipf import _zetan
 
 
 class TestValidation:
@@ -100,7 +102,6 @@ class TestDeterminism:
         assert ranks == replay
 
     def test_zetan_cache_shared_across_instances(self):
-        from repro.sim.zipf import _zetan
         before = _zetan.cache_info().hits
         ZipfSampler(5000, theta=0.7)
         ZipfSampler(5000, theta=0.7)
@@ -110,3 +111,34 @@ class TestDeterminism:
         zipf = ZipfSampler(37, theta=0.95, seed=9)
         for _ in range(5000):
             assert 0 <= zipf.sample() < 37
+
+
+class TestZetaClosedForm:
+    """``_zetan`` (exact head + Euler–Maclaurin tail) against the oracle:
+    a correctly rounded ``math.fsum`` over every explicit term."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 10**4, 10**6])
+    def test_matches_explicit_sum(self, n, theta):
+        oracle = math.fsum(pow(i, -theta) for i in range(1, n + 1))
+        got = _zetan(n, theta)
+        if theta == 0.0:
+            assert got == float(n)
+        else:
+            assert abs(got - oracle) <= 1e-14 * oracle
+
+
+class TestRankClamp:
+    """``min(rank, n - 1)`` only absorbs float rounding at the top of the
+    unit interval: the largest ``u`` below 1.0 still lands on a valid
+    rank, the last one."""
+
+    class _TopRng:
+        def random(self):
+            return math.nextafter(1.0, 0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [3, 10, 1000, 10**6])
+    def test_largest_variate_stays_in_range(self, n, theta):
+        rank = ZipfSampler(n, theta=theta).sample(self._TopRng())
+        assert rank == n - 1
