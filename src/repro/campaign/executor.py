@@ -5,7 +5,9 @@ Guarantees:
 * **Determinism** — every job re-seeds ``random`` and ``numpy.random``
   from its planner-assigned seed before the scenario runs, so a sweep
   produces byte-identical results whether it runs serially, with N
-  workers, or resumed across several invocations.
+  workers, or resumed across several invocations.  numpy is not imported
+  for this: if a job is the first to import it, it is seeded with that
+  job's seed the moment it loads.
 * **Caching** — with a cache attached, finished jobs are skipped on
   re-run (key = scenario + params + code version) and fresh results are
   appended as they complete, so a killed campaign resumes where it died.
@@ -15,9 +17,11 @@ Guarantees:
 
 from __future__ import annotations
 
+import importlib.util
 import multiprocessing
 import multiprocessing.connection
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,14 +75,47 @@ class CampaignResult:
         )
 
 
+class _SeedNumpyOnImport:
+    """One-shot ``sys.meta_path`` finder: seeds numpy.random as numpy loads.
+
+    On the top-level ``numpy`` import it takes itself off ``sys.meta_path``
+    and wraps the real loader's ``exec_module`` for that one call, so the
+    module is seeded with ``seed`` before any importer can draw from it.
+    """
+
+    seed = 0
+
+    def find_spec(self, name, path=None, target=None):
+        if name != "numpy":
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            return None
+        loader = spec.loader
+
+        def exec_module(module):
+            del loader.exec_module
+            loader.exec_module(module)
+            module.random.seed(self.seed % 2**32)
+
+        loader.exec_module = exec_module
+        return spec
+
+
+#: Process-wide, like the RNG state it seeds.
+_NUMPY_SEEDER = _SeedNumpyOnImport()
+
+
 def _seed_rngs(seed: int) -> None:
     random.seed(seed)
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a hard dep elsewhere
-        pass
-    else:
+    np = sys.modules.get("numpy")
+    if np is not None:
         np.random.seed(seed % 2**32)
+    else:
+        _NUMPY_SEEDER.seed = seed
+        if _NUMPY_SEEDER not in sys.meta_path:
+            sys.meta_path.insert(0, _NUMPY_SEEDER)
 
 
 def _execute_job(payload: tuple) -> dict:

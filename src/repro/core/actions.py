@@ -17,14 +17,15 @@ generator functions and ``yield from`` the action.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.des.engine import Event, Timeout
 from repro.network.packets import Message
 from repro.portals.counters import Counter
 from repro.core.handlers import HandlerError, HPUMemory
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["HandlerContext"]
 
@@ -139,6 +140,8 @@ class HandlerContext:
             )
         payload = None
         if data is not None:
+            import numpy as np
+
             payload = np.asarray(data, dtype=np.uint8).ravel().copy()
         msg = Message(
             source=self.nic.rank,

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.portals.limits import NILimits
 from repro.portals.types import PortalsError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["HPUMemory", "HandlerError", "HandlerSet", "ReturnCode"]
 
@@ -88,15 +90,23 @@ class HPUMemory:
     cost model); ``vars`` is a Python-dict convenience view for handler
     state that the mini-ISA programs keep in ``raw`` instead — both are
     persistent across the lifetime of messages on the same binding.
+    ``raw`` is zero-filled on first touch, so a binding whose handlers keep
+    their state in ``vars`` never allocates it (nor loads numpy).
     """
 
     def __init__(self, size: int):
         if size < 0:
             raise HandlerError("negative HPU memory size")
         self.size = size
-        self.raw = np.zeros(size, dtype=np.uint8)
         self.vars: dict[str, Any] = {}
         self.freed = False
+
+    @cached_property
+    def raw(self) -> np.ndarray:
+        """The ``size``-byte arena, allocated (zeroed) on first access."""
+        import numpy as np
+
+        return np.zeros(self.size, dtype=np.uint8)
 
     def _check(self, offset: int, nbytes: int) -> None:
         if self.freed:
@@ -108,6 +118,8 @@ class HPUMemory:
             )
 
     def write(self, offset: int, data) -> None:
+        import numpy as np
+
         data = np.asarray(data, dtype=np.uint8).ravel()
         self._check(offset, data.size)
         self.raw[offset : offset + data.size] = data
@@ -126,6 +138,8 @@ class HPUMemory:
         return int.from_bytes(self.raw[offset : offset + 8].tobytes(), "little")
 
     def store_u64(self, offset: int, value: int) -> None:
+        import numpy as np
+
         self._check(offset, 8)
         self.raw[offset : offset + 8] = np.frombuffer(
             (value & ((1 << 64) - 1)).to_bytes(8, "little"), dtype=np.uint8
@@ -178,6 +192,8 @@ class HandlerSet:
             return
         self._state_initialized = True
         if self.initial_state is not None and self.hpu_memory is not None:
+            import numpy as np
+
             self.hpu_memory.write(
                 0, np.frombuffer(self.initial_state, dtype=np.uint8)
             )

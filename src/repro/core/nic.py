@@ -157,7 +157,6 @@ class SpinNIC(BaselineNIC):
         """
         # Packets without payload skip payload handlers.
         if pkt.payload_len == 0:
-            state.bytes_seen += 0
             return
         pt = self._pt_for(state.message)
         if pt is not None and not pt.enabled:

@@ -32,9 +32,12 @@ DESIGN.md's substitution rules):
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.handlers import ReturnCode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ACCUMULATE_CYCLES_PER_BYTE",
@@ -143,6 +146,8 @@ def make_pingpong_handlers(streaming: bool = True, pong_match_bits: int = PONG_T
 # --------------------------------------------------------------------------
 def complex_multiply_bytes(dest: np.ndarray, incoming: np.ndarray) -> np.ndarray:
     """dest ⊙ incoming as complex64 pairs over raw bytes (the HPU kernel)."""
+    import numpy as np
+
     n = min(dest.size, incoming.size) // 8 * 8
     if n == 0:
         return dest[:0]
@@ -169,7 +174,7 @@ def make_accumulate_handlers(pong: bool = False, pong_match_bits: int = PONG_TAG
         buf = yield from ctx.dma_from_host_b(p.payload_offset, p.payload_len)
         ctx.charge_per_byte(p.payload_len, ACCUMULATE_CYCLES_PER_BYTE)
         if buf is not None and p.payload is not None:
-            result = complex_multiply_bytes(buf, np.asarray(p.payload))
+            result = complex_multiply_bytes(buf, p.payload)
             out = buf.copy()
             out[: result.size] = result
         else:
@@ -276,7 +281,7 @@ def make_ddtvec_handlers(blocksize: int, stride: int, start: int = 0):
                 blocksize - offset_in_block, p.payload_len - offset_in_packet
             )
             chunk = (
-                np.asarray(p.payload)[offset_in_packet : offset_in_packet + size]
+                p.payload[offset_in_packet : offset_in_packet + size]
                 if p.payload is not None
                 else None
             )
@@ -291,6 +296,8 @@ def unpack_vector_reference(
     packed: np.ndarray, blocksize: int, stride: int, out_size: int
 ) -> np.ndarray:
     """Reference (numpy) unpack of a vector datatype, for verification."""
+    import numpy as np
+
     out = np.zeros(out_size, dtype=np.uint8)
     nblocks = packed.size // blocksize
     for j in range(nblocks):
@@ -308,7 +315,7 @@ def unpack_vector_reference(
 # --------------------------------------------------------------------------
 def xor_bytes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = min(a.size, b.size)
-    return np.bitwise_xor(a[:n], b[:n])
+    return a[:n] ^ b[:n]
 
 
 def make_raid_primary_handlers(parity_node: int, ack_match_bits: int = 30):
@@ -324,7 +331,7 @@ def make_raid_primary_handlers(parity_node: int, ack_match_bits: int = 30):
         old = yield from ctx.dma_from_host_b(p.payload_offset, p.payload_len)
         ctx.charge_per_byte(p.payload_len, XOR_CYCLES_PER_BYTE)
         if old is not None and p.payload is not None:
-            new = np.asarray(p.payload)
+            new = p.payload
             diff = xor_bytes(old, new)
         else:
             new = None
@@ -362,7 +369,7 @@ def make_raid_parity_handlers(ack_match_bits: int = 30):
         old = yield from ctx.dma_from_host_b(base + p.payload_offset, p.payload_len)
         ctx.charge_per_byte(p.payload_len, XOR_CYCLES_PER_BYTE)
         if old is not None and p.payload is not None:
-            folded = xor_bytes(old, np.asarray(p.payload))
+            folded = xor_bytes(old, p.payload)
         else:
             folded = None
         yield from ctx.dma_to_host_b(folded, base + p.payload_offset,

@@ -17,10 +17,13 @@ Calling conventions (set via initial registers):
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.hpu_isa.isa import assemble
 from repro.hpu_isa.vm import VM, VMResult
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ACCUMULATE_REAL_ASM",
@@ -85,6 +88,8 @@ loop:
 def run_xor_kernel(block: np.ndarray, packet: np.ndarray,
                    scratchpad_cycles: int = 1) -> tuple[np.ndarray, VMResult]:
     """Execute the XOR kernel over real bytes; returns (result, metrics)."""
+    import numpy as np
+
     block = np.asarray(block, dtype=np.uint8).ravel()
     packet = np.asarray(packet, dtype=np.uint8).ravel()
     n = min(block.size, packet.size) // 4 * 4

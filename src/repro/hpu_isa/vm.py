@@ -11,10 +11,12 @@ network costs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.hpu_isa.isa import Instruction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["VM", "VMError", "VMResult"]
 
@@ -48,6 +50,8 @@ class VM:
     ):
         if scratchpad_cycles < 1:
             raise VMError("scratchpad access cost must be >= 1 cycle")
+        import numpy as np
+
         self.memory = np.zeros(memory_bytes, dtype=np.uint8)
         self.packet = np.zeros(0, dtype=np.uint8)
         self.scratchpad_cycles = scratchpad_cycles
@@ -65,6 +69,8 @@ class VM:
         return int.from_bytes(arr[addr : addr + n].tobytes(), "little")
 
     def _store(self, addr: int, value: int, n: int) -> None:
+        import numpy as np
+
         self._check(self.memory, addr, n, "scratchpad")
         self.memory[addr : addr + n] = np.frombuffer(
             (value & ((1 << (8 * n)) - 1)).to_bytes(n, "little"), dtype=np.uint8
@@ -82,6 +88,8 @@ class VM:
         for reg, value in (regs or {}).items():
             self._set(reg, value)
         if packet is not None:
+            import numpy as np
+
             self.packet = np.asarray(packet, dtype=np.uint8).ravel()
         r = self.regs
         pc = 0

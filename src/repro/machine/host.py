@@ -2,23 +2,26 @@
 
 ``HostMemory`` is a real numpy byte arena with a bump allocator — NIC
 deposits and handler DMAs write actual bytes, so every experiment's data
-movement is verifiable.  ``HostCPU`` charges timed work on a bounded pool of
-cores, routes copies through the shared memory port (where they contend with
-NIC DMA traffic — the §5.1 copy-overhead effect), and applies the optional
-noise model to CPU work (offloaded progress is immune, §4.4.1).
+movement is verifiable.  Only machines built ``with_memory`` own one, so
+``HostMemory`` imports numpy itself and this module does not.  ``HostCPU``
+charges timed work on a bounded pool of cores, routes copies through the
+shared memory port (where they contend with NIC DMA traffic — the §5.1
+copy-overhead effect), and applies the optional noise model to CPU work
+(offloaded progress is immune, §4.4.1).
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.des.engine import Environment, Timeout
 from repro.des.resources import Resource, Server
 from repro.des.trace import Timeline
 from repro.machine.config import HostParams
 from repro.network.noise import NoNoise
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["HostCPU", "HostMemory"]
 
@@ -32,6 +35,8 @@ class HostMemory:
     def __init__(self, size: int):
         if size <= 0:
             raise ValueError("host memory size must be positive")
+        import numpy as np
+
         self.data = np.zeros(size, dtype=np.uint8)
         self._brk = 0
 
@@ -59,6 +64,8 @@ class HostMemory:
             )
 
     def write(self, offset: int, data: np.ndarray) -> None:
+        import numpy as np
+
         data = np.asarray(data, dtype=np.uint8).ravel()
         self._check(offset, data.size)
         self.data[offset : offset + data.size] = data

@@ -8,16 +8,19 @@ packet.  This module implements messages, the MTU split, and reassembly.
 Payloads are numpy ``uint8`` arrays so handlers transform *real bytes* (XOR
 parity, complex multiplies, strided deposits are all checked for
 correctness).  For application-scale simulations where content is
-irrelevant, ``payload=None`` keeps a length-only "modelled" message.
+irrelevant, ``payload=None`` keeps a length-only "modelled" message; numpy
+is imported only where a payload is built or reassembled, so a run of
+modelled messages never loads it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Message", "Packet", "packetize", "reassemble", "reset_msg_ids"]
 
@@ -69,6 +72,8 @@ class Message:
         if self.length < 0:
             raise ValueError(f"negative message length {self.length}")
         if self.payload is not None:
+            import numpy as np
+
             self.payload = np.asarray(self.payload, dtype=np.uint8).ravel()
             if self.payload.size != self.length:
                 raise ValueError(
@@ -77,6 +82,8 @@ class Message:
 
     @classmethod
     def from_bytes(cls, source: int, target: int, data: bytes | np.ndarray, **kw) -> "Message":
+        import numpy as np
+
         arr = np.frombuffer(bytes(data), dtype=np.uint8).copy() if isinstance(
             data, (bytes, bytearray)
         ) else np.asarray(data, dtype=np.uint8).ravel()
@@ -166,6 +173,8 @@ def reassemble(packets: list[Packet]) -> np.ndarray:
         raise ValueError("packets from different messages")
     if message.payload is None:
         raise ValueError("cannot reassemble a modelled (payload-free) message")
+    import numpy as np
+
     out = np.zeros(message.length, dtype=np.uint8)
     seen = np.zeros(message.length, dtype=bool)
     for p in sorted(packets, key=lambda p: p.payload_offset):

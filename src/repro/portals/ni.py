@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.portals.counters import Counter
 from repro.portals.events import EventQueue, PortalsEvent
@@ -14,6 +12,9 @@ from repro.portals.limits import NILimits
 from repro.portals.matching import MatchEntry, MatchList, MatchResult
 from repro.portals.triggered import TriggeredQueue
 from repro.portals.types import EventKind, PortalsError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["MemoryDescriptor", "NetworkInterface", "PortalTableEntry"]
 

@@ -12,9 +12,10 @@ Fig. 6/7a handlers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BYTE",
@@ -47,11 +48,15 @@ class Datatype:
     # -- derived operations ---------------------------------------------
     def block_table(self) -> np.ndarray:
         """(nblocks, 2) array of [offset, length] — the iovec expansion."""
+        import numpy as np
+
         table = np.array(list(self.blocks()), dtype=np.int64)
         return table.reshape(-1, 2)
 
     def pack(self, buffer: np.ndarray) -> np.ndarray:
         """Gather this layout from ``buffer`` into a contiguous array."""
+        import numpy as np
+
         buffer = np.asarray(buffer, dtype=np.uint8)
         out = np.empty(self.size, dtype=np.uint8)
         pos = 0
@@ -62,6 +67,8 @@ class Datatype:
 
     def unpack(self, packed: np.ndarray, buffer: np.ndarray) -> None:
         """Scatter a contiguous array into ``buffer`` at this layout."""
+        import numpy as np
+
         packed = np.asarray(packed, dtype=np.uint8)
         if packed.size != self.size:
             raise ValueError(f"packed size {packed.size} != datatype size {self.size}")

@@ -26,8 +26,6 @@ with numpy and checks every stored block.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.api import PtlHPUAllocMem, spin_me
 from repro.core.handlers import ReturnCode
 from repro.core.nic import SpinNIC
@@ -95,6 +93,8 @@ class RaidCluster:
             self._setup_rdma()
         else:
             self._setup_spin()
+        import numpy as np
+
         # Reference state for verification.
         self._expected = [np.zeros(region_bytes, np.uint8) for _ in range(ndata)]
         # Cumulative completion bookkeeping (supports concurrent operations).
@@ -142,7 +142,7 @@ class RaidCluster:
             if self.with_memory:
                 staged = node.memory.read(self.region_bytes + ev.offset, ev.length)
                 old = node.memory.read(ev.offset, ev.length)
-                diff = np.bitwise_xor(staged, old)
+                diff = staged ^ old
                 node.memory.write(ev.offset, staged)
             yield from node.host_put(
                 self.parity_node.rank, ev.length, match_bits=PARITY_TAG,
@@ -227,7 +227,7 @@ class RaidCluster:
             diff = None
             new = None
             if old is not None and p.payload is not None:
-                new = np.asarray(p.payload)
+                new = p.payload
                 diff = xor_bytes(old, new)
             yield from ctx.dma_to_host_b(new, p.payload_offset,
                                          nbytes=p.payload_len)
@@ -292,7 +292,7 @@ class RaidCluster:
                 ctx.charge_per_byte(p.payload_len, XOR_CYCLES_PER_BYTE)
                 folded = None
                 if old is not None and p.payload is not None:
-                    folded = xor_bytes(old, np.asarray(p.payload))
+                    folded = xor_bytes(old, p.payload)
                 write_done = yield from ctx.dma_to_host_b(
                     folded, base + p.payload_offset, nbytes=p.payload_len
                 )
@@ -327,6 +327,8 @@ class RaidCluster:
 
     def client_write(self, total_bytes: int, offset: int = 0):
         """Striped write; completes when all ACKs arrived (Fig. 7c metric)."""
+        import numpy as np
+
         chunk = -(-total_bytes // self.ndata)
         self._acks_promised += self.acks_for_write(total_bytes)
         expected = self._acks_promised
@@ -367,6 +369,8 @@ class RaidCluster:
     # ------------------------------------------------------------------
     def verify(self) -> bool:
         """Check stored data and parity against the numpy reference."""
+        import numpy as np
+
         if not self.with_memory:
             raise RuntimeError("verify() requires with_memory=True")
         for i, node in enumerate(self.data_nodes):

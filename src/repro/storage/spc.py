@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from repro.machine.config import MachineConfig
 from repro.storage.raid import RaidCluster
 
@@ -89,6 +87,8 @@ def generate_financial_trace(
     nops: int = 200, seed: int = 1, region_sectors: int = 1 << 20
 ) -> list[SPCRecord]:
     """Synthetic financial-OLTP trace: small, skewed, write-heavy."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     records = []
     t = 0.0
@@ -110,6 +110,8 @@ def generate_websearch_trace(
     nops: int = 200, seed: int = 2, region_sectors: int = 1 << 20
 ) -> list[SPCRecord]:
     """Synthetic web-search trace: large, sequential, read-dominated."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     records = []
     t = 0.0

@@ -13,8 +13,6 @@ from __future__ import annotations
 import hashlib
 from typing import Generator
 
-import numpy as np
-
 from repro.core.handlers import ReturnCode
 from repro.experiments.common import pair_session
 from repro.machine.config import MachineConfig, config_by_name
@@ -97,6 +95,8 @@ class KVStore:
     # -- client API ----------------------------------------------------------
     def insert(self, key: bytes, value: bytes) -> Generator:
         """Insert (k, v): H1 picks the node, H2 the bucket (the §5.4 flow)."""
+        import numpy as np
+
         node = h1(key, len(self.servers))
         bucket = h2(key, self.nbuckets)
         yield from self.client.host_put(

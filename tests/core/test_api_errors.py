@@ -46,6 +46,7 @@ class TestPtlHPUFreeMem:
         lambda m: m.store_u64(0, 1),
     ])
     def test_use_after_free_guard(self, access):
+        # Freed before its first touch: the arena was never allocated.
         mem = PtlHPUAllocMem(NILimits(), 64)
         PtlHPUFreeMem(mem)
         with pytest.raises(HandlerError, match="freed"):

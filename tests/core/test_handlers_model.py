@@ -61,6 +61,21 @@ class TestHPUMemory:
         mem.vars["count"] = 3
         assert mem.vars["count"] == 3
 
+    def test_untouched_memory_reads_zeros(self):
+        mem = HPUMemory(32)
+        assert np.array_equal(mem.read(0, 32), np.zeros(32, np.uint8))
+        assert not mem.view(8, 16).any()
+        assert mem.load_u64(24) == 0
+
+    def test_raw_is_one_persistent_writable_arena(self):
+        mem = HPUMemory(16)
+        assert mem.raw.dtype == np.uint8 and mem.raw.shape == (16,)
+        assert not mem.raw.any()
+        mem.raw[3] = 5
+        assert mem.raw[3] == 5 and mem.read(3, 1)[0] == 5
+        mem.write(4, [6])
+        assert mem.raw[4] == 6 and mem.raw is mem.raw
+
 
 class TestHandlerSet:
     def test_validate_against_limits(self):

@@ -334,6 +334,24 @@ class TestActions:
         cluster.run()
         assert seen == {"state0": 42, "param": "value"}
 
+    def test_initial_state_copied_once_and_state_persists(self):
+        cluster = spin_cluster()
+        seen = []
+
+        def hh(ctx, hdr):
+            ctx.state.raw[0] += 1
+            seen.append(int(ctx.state.raw[0]))
+            return ReturnCode.PROCEED
+
+        cluster[1].post_me(0, spin_me(
+            match_bits=1, length=1 << 20, header_handler=hh,
+            hpu_memory=PtlHPUAllocMem(cluster[1], 64), initial_state=b"\x05",
+        ))
+        send(cluster, 0, 1, 8, match_bits=1)
+        send(cluster, 0, 1, 8, match_bits=1)
+        cluster.run()
+        assert seen == [6, 7]
+
 
 class TestTimingModel:
     def test_handler_cycles_advance_simulated_time(self):
