@@ -1,20 +1,152 @@
 """Golden-trace regression tests: the DES is byte-for-byte deterministic.
 
-Each experiment runs twice in-process with identical (fixed) inputs; the
-full event trace (every CPU/NIC/DMA/HPU busy span, in recording order) is
-snapshotted as canonical bytes and hashed.  Any nondeterminism in the
-engine's event ordering, the LogGP fabric, or the handler scheduling shows
-up as a digest mismatch — the property the parallel campaign executor's
-result caching relies on.
+Two kinds of check live here:
+
+* **Absolute pins.** Every built-in scenario's ``--tiny`` run is traced
+  under :class:`~repro.obs.ObsCapture`; each captured session's
+  ``Timeline.canonical_bytes()`` is hashed and the per-session sha256
+  digests are folded, in build order, into one sha256 per scenario
+  (``GOLDEN_TRACES``).  The pingpong/accumulate experiments and a
+  randomized raw-fabric contention workload are pinned the same way.  A
+  change that shifts every timestamp by the same amount still moves these
+  digests, which a run-vs-run comparison cannot see.
+* **Self-consistency.** Each experiment runs twice in-process with
+  identical inputs and must produce the same canonical bytes, and tracing
+  must not perturb the simulated result.
+
+A deliberate change to a scenario's simulated timing must update its
+digest here in the same change, alongside the result corpus in
+``tests/campaign/test_golden_corpus.py``.
 """
+
+import hashlib
+import json
+import random
 
 import pytest
 
+from repro.campaign.executor import run_observed
+from repro.campaign.planner import plan_points
+from repro.campaign.registry import BUILTIN_SCENARIO_MODULES, all_scenarios
+from repro.des.engine import Environment
+from repro.des.trace import Timeline
 from repro.experiments.accumulate import accumulate_completion_ns
 from repro.experiments.pingpong import PINGPONG_MODES, pingpong_half_rtt_ns
+from repro.machine import config as config_mod
+from repro.network.fabric import Fabric
+from repro.network.loggp import NetworkParams
+from repro.network.packets import Message
+from repro.network.topology import FatTree
+from repro.obs import ObsCapture
 
 PP_SIZE = 8192
 ACC_SIZE = 16384
+
+#: Folded per-session trace digest of every built-in scenario's ``--tiny``
+#: run (``replay_trace`` builds two sessions, every other traced scenario
+#: one).
+GOLDEN_TRACES = {
+    "accumulate": "34ad7ceb05ecd3ffefd6fe8ff2502dcbe8e4a977a987d92d4cc971ad9b35416c",
+    "broadcast": "87ac602c5b833ff84fe68493b7f43c6b82c7f9fd278855349e018280002cce57",
+    "burst_under_flap": "5febe8231dcca6f3563a7f8cea65fa68d7754dd813064c3ccbeddeaf51ac0284",
+    "bursting_load": "3618af4411607687f020fdb3b9f9e85e35291d69b220b08226c02581f163cacb",
+    "congested_tenants": "a569ea81ef45e31a6f8f1765b86cc164837685de4957e15958e34cbfc5496b85",
+    "datatype_recv": "b687231066913e0442b1c63436a8f17594558c2901d69e2a10e98b01f1b48478",
+    "ftbcast_faults": "0ef3a377639c130ec02fe95bb0026997368e8c04be2fe889b518d143b60ea079",
+    "incast_load": "138b6aaaed7da93e92e8815f4fe9a18d4550fe84826ff7cc0ff3a4d828d499aa",
+    "incast_transient": "0483b594090039a1f684fcf06b9f72d18fb125728a93a7226604242f796f182c",
+    "kv_serving": "b6ce04a8564761ff473dbef380d20a26089acb291f83928c177e493bd619c0f5",
+    "kvstore_insert": "aabd39be4136a6525023edae4a1bc8aae897a816cf5b3e745c229011ae44a1e2",
+    "kvstore_load": "b92b9afd37c8345aa921fb29bc9105eef8a023719bc045463647194f3834538c",
+    "link_flap_recovery": "854706516b41ea8a4c8c45dc20bd6231a22faa15168c9fd1d2e89317f9950369",
+    "lossy_pingpong": "943cba99f891255d3cdf28ce6baa2dc70c03e0455228f850af97af46f63ea50f",
+    "mixed_tenants": "49c677fdb1ebb6c08cdc00830f37935c6ff122e26fd1fcbf10531580d0b4a184",
+    "permutation_traffic": "6121652490c1bd3e982dc185cd152f6bce19b2ea2c663d32bef9ddf11ac514f7",
+    "pingpong": "a8d5443e57facfe0b479dca0986c4765410561e868ec0340a0d3362301ea1f06",
+    "pingpong_open_load": "dedc90af6eeddb8250ed6e82794bea00d0604c3894e0f44dfd4030a4944092d5",
+    "replay_trace": "778b29c9f34d8bb46b9f1b345554f4fd599aa024617559b4d67ff452948ff808",
+    "tenant_overload": "48fc327f4072f32f77c1a0bb16791750d0be3f37df87fc238783f67e64a17b40",
+}
+
+#: Built-in scenarios that build no ``Session`` (closed forms, or clusters
+#: driven below the session layer), so there is no trace to pin.
+UNTRACED_SCENARIOS = frozenset({"apps_matching", "linerate", "raid_update",
+                                "spc_replay"})
+
+#: ``Timeline.digest()`` of the determinism-test runs below.
+PINGPONG_TRACES = {
+    "rdma": "f9bcf98a1ef9870579ad02a31f05ec7550f13b18dcf9d1612af51afc382178e8",
+    "p4": "93ede91d380a5740c63a83295a3a4bac9833d0749eb1b7408e053d3299dd055c",
+    "spin_store": "012ac2aa920f69736ee3f48d87e88f47d83bcb7cd7edf3da9d3618d5f213e687",
+    "spin_stream": "00a8b4ba73140ff6088bf15936fea6e158a2769c44b7ef589c30e34353de57e0",
+}
+ACCUMULATE_TRACES = {
+    "rdma": "fa0f1085cdb1f6fde0642697b68f8bb0c58e1828565cc33639f4626280cb22b4",
+    "spin": "285b69cfe1b99172d8eab5fa6d14ae3a655e925fe86cc918a838c2cdbe5536aa",
+}
+
+#: sha256 over the arrivals and canonical trace of
+#: :func:`_run_contention_pattern`, per seed.
+CONTENTION_TRACES = {
+    0: "e1196cbb1eee520f1dfbf24bcb76a1f2ce311530712eb65bfd81464dffd4c9b6",
+    1: "8f622e70f51b0c2f1baea7495f1c3824d743d56b65e6aeeb01874c63a670d938",
+    2: "0a12e1ec3897685aed5a4e14f665343cd7b95e96a0bd7b7ad7e0b35b1ab8e26c",
+    3: "be746a34c7c7975370f0a7de662685281fc148c6898f2ad9d60d3c2db1e1ee66",
+    4: "a4529ac5d8bbea7c93f3834944d49cf72bb753b1ba67dfeebffbfa8c1b76f862",
+    5: "08ec6464feb194069a82ab284493933b98b2652edfee558e9db30f4bb4f40776",
+    6: "520d1b80a0e50c656699b83d6b48d8f67fa3a0a6c23092fd12cb5c5693f7740e",
+    7: "cbeb4c11da166ab411d43258596394feb34289c0e0546d86eccf16b4ffdc8391",
+    8: "9ade6da3eb9e7eed5086df3d8c5858a705554e77e29b90cb11109e7aeb0eda08",
+    9: "b1223a3c46d03d002f8176ef91949eecfaeaf3e6d1de6a68f058a73a76fcd7f2",
+    10: "695d1583723d00c14488eca985ff4cb7cf51ad3fb0ee64513d65bfbc9feeb593",
+    11: "85cc327e507b80620f575df1db1147022f0b4fb50755d99537dbfff945e52850",
+}
+
+
+def _builtin_scenarios() -> dict:
+    return {name: sc for name, sc in all_scenarios().items()
+            if sc.fn.__module__ in BUILTIN_SCENARIO_MODULES}
+
+
+def _captured_trace(monkeypatch, name: str, tiny: dict):
+    """Run ``name``'s tiny point under capture: (sessions built, digest)."""
+    monkeypatch.setenv("REPRO_CODE_VERSION", "golden-traces")
+    capture = ObsCapture()
+    run_observed(plan_points(name, [tiny]), capture)
+    folded = b"".join(hashlib.sha256(obs.timeline.canonical_bytes()).digest()
+                      for obs in capture.observers)
+    return len(capture.observers), hashlib.sha256(folded).hexdigest()
+
+
+def test_trace_corpus_covers_every_builtin_scenario():
+    """A scenario that stops (or starts) tracing fails here by name."""
+    assert not UNTRACED_SCENARIOS & set(GOLDEN_TRACES)
+    assert set(_builtin_scenarios()) == set(GOLDEN_TRACES) | UNTRACED_SCENARIOS
+
+
+def test_tiny_traces_match_golden_digests(monkeypatch):
+    mismatched, traced = [], []
+    for name, sc in sorted(_builtin_scenarios().items()):
+        sessions, digest = _captured_trace(monkeypatch, name, dict(sc.tiny))
+        if sessions:
+            traced.append(name)
+        if sessions and digest != GOLDEN_TRACES.get(name):
+            mismatched.append(name)
+    assert not mismatched, f"traces changed: {mismatched}"
+    assert set(traced) == set(GOLDEN_TRACES)
+
+
+def test_uniform_shift_moves_the_pinned_digest(monkeypatch):
+    """One extra picosecond of header matching shifts every later span
+    consistently — a run-vs-run comparison passes, the pin must not."""
+    base = config_mod.config_by_name("int")
+    monkeypatch.setitem(config_mod._CONFIG_CACHE, "int", base.with_nic(
+        header_match_ps=base.nic.header_match_ps + 1))
+    tiny = dict(_builtin_scenarios()["pingpong"].tiny)
+    sessions, digest = _captured_trace(monkeypatch, "pingpong", tiny)
+    assert sessions == 1, "the shifted run built no traced session"
+    assert digest != GOLDEN_TRACES["pingpong"]
+    assert _captured_trace(monkeypatch, "pingpong", tiny) == (1, digest)
 
 
 def _pingpong_run(mode):
@@ -37,7 +169,7 @@ def test_pingpong_trace_deterministic(mode):
     assert v1 == v2
     golden = tl1.canonical_bytes()
     assert tl2.canonical_bytes() == golden  # byte-for-byte
-    assert tl1.digest() == tl2.digest()
+    assert tl1.digest() == PINGPONG_TRACES[mode]
 
 
 @pytest.mark.parametrize("mode", ("rdma", "spin"))
@@ -47,7 +179,7 @@ def test_accumulate_trace_deterministic(mode):
     assert tl1.spans, "trace-enabled run recorded no spans"
     assert v1 == v2
     assert tl2.canonical_bytes() == tl1.canonical_bytes()
-    assert tl1.digest() == tl2.digest()
+    assert tl1.digest() == ACCUMULATE_TRACES[mode]
 
 
 def test_trace_digest_distinguishes_protocols():
@@ -76,3 +208,68 @@ def test_timeline_sink_does_not_change_result():
     untraced = pingpong_half_rtt_ns(PP_SIZE, "spin_stream", "int")
     assert traced == untraced
 
+
+def _run_contention_pattern(seed: int):
+    """Random overlapping sends on one NIC; returns (trace bytes, arrivals).
+
+    Injection times are dense relative to per-message serialization time,
+    so messages pile up at the source wire and interleave packet-by-packet
+    on its FIFO.
+    """
+    rng = random.Random(seed)
+    params = NetworkParams()
+    env = Environment()
+    timeline = Timeline(enabled=True)
+    topology = FatTree(params=params, nhosts=4)
+    fabric = Fabric(env, topology, params, timeline=timeline)
+
+    arrivals = []
+    for nid in range(4):
+        fabric.attach(
+            nid,
+            lambda pkt, nid=nid: arrivals.append(
+                (env.now, nid, pkt.message.msg_id, pkt.seq)
+            ),
+        )
+
+    messages = []
+    for i in range(20):
+        messages.append(
+            (
+                rng.randrange(0, 3_000_000),            # inject time (ps)
+                rng.choice((1, 2, 3)),                  # target
+                rng.choice((1, 2000, 4096, 9000, 20000)),  # size in bytes
+            )
+        )
+
+    def injector(at, target, size, msg_id):
+        yield env.timeout(at)
+        msg = Message(source=0, target=target, length=size)
+        # Pin msg_id so the digest is independent of earlier messages.
+        msg.msg_id = msg_id
+        done = fabric.inject(msg)
+        yield done
+
+    for i, (at, target, size) in enumerate(messages):
+        env.process(injector(at, target, size, i))
+    env.run()
+    return timeline.canonical_bytes(), arrivals
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_contention_matches_pinned_digest(seed):
+    trace, arrivals = _run_contention_pattern(seed)
+    digest = hashlib.sha256(json.dumps(arrivals).encode() + trace).hexdigest()
+    assert digest == CONTENTION_TRACES[seed]
+
+
+def test_contention_interleaves_packets():
+    """Sanity: the pattern actually creates cross-message interleaving."""
+    trace, arrivals = _run_contention_pattern(0)
+    order = [msg_id for _, _, msg_id, _ in arrivals]
+    # Some message's packets must be split around another message's.
+    interleaved = any(
+        order[i] != order[i + 1] and order[i] in order[i + 2:]
+        for i in range(len(order) - 2)
+    )
+    assert interleaved, "contention pattern produced no interleaving"

@@ -10,6 +10,8 @@ The two contracts under test:
   fabric's ``_TxChain`` honours).
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -227,3 +229,31 @@ class TestFastPathEquivalence:
         slow = _contended_run(False, topology_kind, seed)
         assert fast == slow
         assert fast[2] > 0  # the pattern actually exercised tail-drop
+
+
+class TestContentionPins:
+    """The contended walk's output — deliveries, per-link accounting and
+    the drop count — is pinned under randomized contention."""
+
+    #: sha256 of ``json.dumps(_contended_run(...), sort_keys=True)``.
+    DIGESTS = {
+        ("xbar", 1): "de4fd5615f835e3e2e4b6ed1bbffb872f3202d3b79c7bfd09683e112ee31e4a5",
+        ("xbar", 2): "f6be06e2f231dc1d3d54f567c60e65fccdd0fd0b41f44aa58c65495aecf2c915",
+        ("xbar", 3): "6970d1c15788c6ebaddad4082b37d9200ee8ae21fcc3bcad7f755800395e34a4",
+        ("fattree", 1): "c3c9eb210e4a242dbf3b2fcb12c3fe65ead66bae3772e1642fa6dde6b3944d51",
+        ("fattree", 2): "622498fa043288350fafb93cda789511f732699326cbfe299942c7412178a16e",
+        ("fattree", 3): "e028df116961a3d5512467960a6e2869aba7d047f8664c69f833c1524717131c",
+    }
+
+    @pytest.mark.parametrize("topology_kind", ("xbar", "fattree"))
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_randomized_contention_matches_pinned_digest(self, topology_kind,
+                                                         seed):
+        from repro.network.packets import reset_msg_ids
+
+        reset_msg_ids()
+        run = _contended_run(None, topology_kind, seed)
+        assert run[2] > 0  # the pattern actually exercised tail-drop
+        digest = hashlib.sha256(
+            json.dumps(run, sort_keys=True).encode()).hexdigest()
+        assert digest == self.DIGESTS[topology_kind, seed]
