@@ -152,8 +152,9 @@ class SpinNIC(BaselineNIC):
         """Dispatch one payload packet to the HPU pool (yield-free).
 
         Flow-control checks and the handler-process spawn are synchronous,
-        which lets the fast RX chain call this inline; the generator path
-        reaches it through :meth:`_deliver_packet`.
+        which lets the RX chain call this inline; packets that arrived
+        while the header handler ran reach it through
+        :meth:`_deliver_packet`.
         """
         # Packets without payload skip payload handlers.
         if pkt.payload_len == 0:

@@ -24,7 +24,6 @@ leaves no reference to its payload behind in the queue.
 
 from __future__ import annotations
 
-import os
 from gc import disable as _gc_disable, enable as _gc_enable
 from gc import isenabled as _gc_isenabled
 from heapq import heappop, heappush
@@ -52,20 +51,6 @@ __all__ = [
 #: rarely needs anything but NORMAL.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-
-
-def env_flag(name: str, default: bool = True) -> bool:
-    """Parse an on/off environment switch.
-
-    ``0``/``false``/``no``/``off`` and the empty string disable (any case);
-    everything else enables.  Shared by the fast-path toggles
-    (``REPRO_FABRIC_FAST_PATH``, ``REPRO_NIC_FAST_RX``) so every switch
-    accepts the same spellings.
-    """
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    return value.strip().lower() not in ("0", "false", "no", "off", "")
 
 
 def ns(value: float) -> int:
@@ -298,8 +283,8 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         if _inline:
             # Advance the body synchronously, as if it ran inline at the
-            # call site (used by fast paths handing work back to generator
-            # code mid-callback without an Initialize round-trip).
+            # call site (used by callback chains handing work back to
+            # generator code mid-callback without an Initialize round-trip).
             boot = Event.__new__(Event)
             boot.env = env
             boot.callbacks = None
@@ -584,7 +569,7 @@ class Environment:
         """Like :meth:`schedule_callback`, but with no cancellation handle.
 
         The queue entry's payload is the bare callable — no ``_Callback``
-        allocation.  This is the primitive the fast-path chains use: they
+        allocation.  This is the primitive the callback chains use: they
         schedule one hop per kernel event and never cancel.
         """
         if type(delay) is not int:

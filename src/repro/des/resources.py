@@ -182,8 +182,8 @@ class ServeChain:
 
     Push-structure preserving: pseudo-initialize (URGENT), the server's
     real FIFO request/grant event, and a fire-and-forget callback at the
-    serve-timeout position — no process, no generator.  Used by fast paths
-    for fire-and-forget port occupancy (e.g. background DMA staging).
+    serve-timeout position — no process, no generator.  Used by the callback
+    chains for fire-and-forget port occupancy (e.g. background DMA staging).
     ``then``, when given, runs right after the service accounting, at the
     position generator code following the serve would run.
     """
@@ -273,8 +273,8 @@ class RateLimiter:
     def claim(self) -> int:
         """Synchronously take the next grant slot; returns its absolute time.
 
-        The event-free core of :meth:`wait_turn`: fast paths call this and
-        schedule their own continuation at the returned time.
+        The event-free core of :meth:`wait_turn`: callback chains call this
+        and schedule their own continuation at the returned time.
         """
         grant_at = max(self.env._now, self._next_free)
         self._next_free = grant_at + self.gap

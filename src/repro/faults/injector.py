@@ -16,8 +16,8 @@ path already pays for (or pays nothing for):
   consulted (one ``is not None`` test) per handler invocation.
 
 All randomness comes from ``random.Random(plan.seed)`` owned here; draws
-occur in kernel-event order, so identical plans replay identically on
-both fast-path flavours.  Arming a plan makes the session unpoolable —
+occur in kernel-event order, so identical plans replay identically.
+Arming a plan makes the session unpoolable —
 fault state must never leak into a reused cluster.
 """
 

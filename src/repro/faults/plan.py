@@ -10,9 +10,8 @@ Determinism contract
 Every probabilistic fault draw comes from ``random.Random(plan.seed)``
 owned by the injector — never the process-global RNG — and draws happen
 in kernel-event order (packet dispatch order, handler invocation order).
-Both orders are pinned byte-identical across the fast/slow fabric+NIC
-paths by the existing equivalence contracts, so an identical plan yields
-identical traces on every flavour.
+The simulator walks one deterministic event order, so an identical plan
+yields an identical trace on every run.
 Times are given in **nanoseconds** (floats are fine) and converted to the
 integer-picosecond clock at arm time.
 """

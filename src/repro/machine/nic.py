@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.des.engine import PRIORITY_URGENT, Environment, Event, env_flag
+from repro.des.engine import Environment, Event
 from repro.des.resources import ServeChain, Server
 from repro.network.packets import Message, Packet
 from repro.portals.events import PortalsEvent
@@ -27,10 +27,6 @@ from repro.portals.matching import MatchResult
 from repro.portals.types import EventKind
 
 __all__ = ["BaselineNIC"]
-
-
-def _fast_rx_default() -> bool:
-    return env_flag("REPRO_NIC_FAST_RX")
 
 
 class _MessageRx:
@@ -63,20 +59,22 @@ class _MessageRx:
 
 
 class _RxChain:
-    """Callback-driven receive pipeline for one non-header packet.
+    """Callback-driven receive pipeline for one packet.
 
-    Push-structure mirror of ``_rx_packet``'s generator path: the pseudo
-    URGENT begin stands in for the process initialize, the match-unit and
-    memory-port requests are the same FIFO Request events the generator
-    would issue, and the service completions are fire-and-forget callbacks
-    at the positions of the generator's serve timeouts.  Deposits for
-    baseline-mode put/atomic/reply packets run inline; anything needing
-    model logic beyond the plain deposit (sPIN handler modes) is handed
-    back to the generator tail via ``process_inline``, which preserves the
-    event order exactly.
+    The match-unit and memory-port requests are real FIFO requests on those
+    servers; their service completions are scheduled callbacks.  The plain
+    deposit of put/atomic/reply packets runs inline, as do the sPIN
+    ``"process"`` and ``"drop"`` modes.  Work that must wait — a header
+    handler, a message's completion — continues on the generator tails
+    (``_hook_tail``, ``_rx_tail``, ``_finish_tail``), started through
+    ``process_inline`` so that no extra kernel event is spent.
 
-    Subclasses of :class:`BaselineNIC` that change ``_deliver_packet``
-    semantics for *baseline-mode* packets must set ``fast_rx = False``.
+    Which path a payload packet takes follows ``state.extra["mode"]``:
+    only ``"baseline"`` (the default) and ``"proceed"`` take the inline
+    deposit.  A subclass that changes deposit semantics gives its messages
+    a mode of its own, so the chain hands their packets to ``_rx_tail``;
+    a header packet gets there when ``_header_hook`` returns a generator.
+    Both tails run the subclass's ``_deliver_packet``.
     """
 
     __slots__ = ("nic", "pkt", "state", "req", "t0", "bw", "offset", "nbytes",
@@ -95,7 +93,7 @@ class _RxChain:
         self.reply = False
 
     def _begin(self) -> None:
-        """Mirrors the rx process initialize: issue the match-unit lookup."""
+        """Issue the match-unit lookup."""
         nic = self.nic
         self.t0 = nic.env._now
         self.req = req = nic.match_unit.request()
@@ -159,9 +157,10 @@ class _RxChain:
                 state.dropped_bytes += pkt.payload_len
                 self._after_deposit()
                 return
-            if mode == "undecided":
-                # Header handler still running: the generator path waits on
-                # its completion event.
+            if mode != "baseline" and mode != "proceed":
+                # "undecided" (header handler still running) or a
+                # subclass's own mode: the generator tail runs
+                # _deliver_packet.
                 env.process_inline(nic._rx_tail(state, pkt), name=nic._rx_name)
                 return
             # "baseline" and "proceed" both take the plain deposit below.
@@ -183,13 +182,13 @@ class _RxChain:
             self.offset = base + pkt.payload_offset
             self.reply = True
         elif msg.kind in ("get", "ack"):
-            # Header-only kinds; mirrored for completeness.
+            # Header-only kinds: nothing to deposit.
             state.bytes_seen += pkt.payload_len
             self._after_deposit()
             return
         else:
             raise ValueError(f"unknown message kind {msg.kind!r}")
-        # -- the DMA write toward host memory (mirrors DMAEngine.write) --
+        # -- the DMA write toward host memory (as DMAEngine.write) --
         self.data = pkt.payload
         self.nbytes = pkt.payload_len
         dma = nic.machine.dma
@@ -246,12 +245,11 @@ class _RxChain:
 class _SendChain:
     """Callback-driven host-send staging pipeline for one message.
 
-    Push-structure mirror of ``_send_now`` with ``from_host=True``: pseudo
-    initialize (URGENT), the DMA request latency, the memory-port fill of
-    the first packet (real FIFO request), the background staging of the
-    remaining bytes (:class:`ServeChain`), then the fabric injection.  The
-    ``done`` event fires at the position the wrapper process would have
-    completed, with the same value (the injection-finish time).
+    Stages: the DMA request latency, the memory-port fill of the first
+    packet (a real FIFO request), background staging of the remaining
+    bytes (:class:`ServeChain`), then the fabric injection.  ``done``
+    fires when the fabric has injected the last packet, with that time as
+    its value.
     """
 
     __slots__ = ("nic", "msg", "done", "bw", "req")
@@ -262,8 +260,7 @@ class _SendChain:
         self.done = Event(nic.env)
         self.bw = 0
         self.req = None
-        # Begin synchronously (no URGENT 0-delay hop): _staged's timestamp
-        # is identical and the counter bump is not simulation-visible.
+        # Begin synchronously: the counter bump is not simulation-visible.
         nic.messages_sent += 1
         nic.env.schedule_fn(nic.machine.dma.latency_ps, self._staged)
 
@@ -333,11 +330,6 @@ class BaselineNIC:
         self.match_unit = Server(env, f"match[{self.rank}]")
         self._rx: dict[int, _MessageRx] = {}
         self._rx_name = f"rx[{self.rank}]"
-        self._tx_name = f"tx[{self.rank}]"
-        #: Packets take the callback chain (:class:`_RxChain`) instead of a
-        #: generator process; structure-preserving, so traces are identical
-        #: — disable to force the generator path everywhere.
-        self.fast_rx = _fast_rx_default()
         self.messages_received = 0
         self.messages_sent = 0
         #: Non-header packets with no rx state (their header packet was
@@ -392,38 +384,9 @@ class BaselineNIC:
     # ------------------------------------------------------------------ RX --
     def on_packet(self, pkt: Packet) -> None:
         """Fabric delivery entry point (one pipeline per packet)."""
-        if self.fast_rx:
-            # Begin synchronously: match-unit requests join the FIFO in
-            # delivery order either way, and every downstream timestamp is
-            # unchanged — the URGENT 0-delay hop only cost a queue trip.
-            _RxChain(self, pkt)._begin()
-        else:
-            self.env.process(self._rx_packet(pkt), name=self._rx_name)
-
-    def _rx_packet(self, pkt: Packet) -> Generator:
-        msg = pkt.message
-        if pkt.is_header:
-            start = self.env.now
-            yield from self.match_unit.serve(self.params.header_match_ps)
-            self.timeline.record(self.rank, "NIC", start, self.env.now, "match")
-            match = self._match_message(msg)
-            state = _MessageRx(msg, match)
-            self._rx[msg.msg_id] = state
-            hook = self._header_hook(state, pkt)
-            if hook is not None:
-                yield from hook
-        else:
-            start = self.env.now
-            yield from self.match_unit.serve(self.params.cam_lookup_ps)
-            self.timeline.record(self.rank, "NIC", start, self.env.now, "cam")
-            state = self._rx.get(msg.msg_id)
-            if state is None:
-                # Unknown flow (header lost to congestion tail-drop): no
-                # channel to deposit into — drop, as real NICs do.
-                self.rx_orphan_packets += 1
-                return
-
-        yield from self._rx_tail(state, pkt)
+        # Begin synchronously: match-unit requests join the FIFO in
+        # delivery order.
+        _RxChain(self, pkt)._begin()
 
     def _rx_tail(self, state: _MessageRx, pkt: Packet) -> Generator:
         """Everything after matching: deposit, bookkeeping, completion."""
@@ -435,13 +398,13 @@ class BaselineNIC:
             del self._rx[state.message.msg_id]
 
     def _finish_tail(self, state: _MessageRx) -> Generator:
-        """Completion continuation for the fast RX chain."""
+        """Completion continuation for the RX chain."""
         yield from self._finish_message(state)
         del self._rx[state.message.msg_id]
 
     def _hook_tail(self, hook: Generator, state: _MessageRx,
                    pkt: Packet) -> Generator:
-        """Header-handler continuation for the fast RX chain."""
+        """Header-handler continuation for the RX chain."""
         yield from hook
         yield from self._rx_tail(state, pkt)
 
@@ -468,7 +431,7 @@ class BaselineNIC:
 
         Called synchronously right after matching; return a generator to
         run timed header work, or None when the message takes the plain
-        deposit path (which lets the fast RX chain stay inline).
+        deposit path (which lets the RX chain stay inline).
         """
         return None
 
@@ -570,7 +533,7 @@ class BaselineNIC:
                 match_bits=msg.match_bits,
                 meta={"md_id": msg.meta.get("md_id", -1), "acked_bytes": msg.length},
             )
-            yield from self._send_now(ack, from_host=False)
+            yield self.send(ack, from_host=False)
 
     def _serve_get(self, state: _MessageRx) -> Generator:
         msg = state.message
@@ -608,7 +571,7 @@ class BaselineNIC:
                 "reply_offset": msg.meta.get("reply_offset", 0),
             },
         )
-        yield from self._send_now(reply, from_host=False)
+        yield self.send(reply, from_host=False)
 
     def _complete_initiator(self, msg: Message, kind: EventKind) -> None:
         md = self.machine.ni.mds.get(msg.meta.get("md_id", -1))
@@ -640,31 +603,7 @@ class BaselineNIC:
         if not from_host or msg.length == 0:
             self.messages_sent += 1
             return self.machine.fabric.inject(msg)
-        if self.fast_rx:  # one switch governs both NIC fast paths
-            return _SendChain(self, msg).done
-        return self.env.process(
-            self._send_now(msg, from_host), name=self._tx_name
-        )
-
-    def _send_now(self, msg: Message, from_host: bool) -> Generator:
-        self.messages_sent += 1
-        if from_host and msg.length > 0:
-            yield self.env.timeout(self.machine.dma.latency_ps)
-            first = min(msg.length, self.loggp.mtu)
-            yield from self.machine.mem_port.serve(
-                self.params.dma_per_op_ps + round(first * self.machine.dma.G_eff)
-            )
-            rest = msg.length - first
-            if rest > 0:
-                # Remaining bytes stream behind the wire; account their
-                # memory-port occupancy without blocking injection.
-                self.env.process(
-                    self.machine.mem_port.serve(round(rest * self.machine.dma.G_eff)),
-                    name=self._tx_name,
-                )
-        done = self.machine.fabric.inject(msg)
-        yield done
-        return self.env.now
+        return _SendChain(self, msg).done
 
     # -- misc ------------------------------------------------------------------
     def _pt_for(self, msg: Message):

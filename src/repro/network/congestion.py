@@ -28,29 +28,23 @@ never exceeds the arrival time and every hop adds only the same
 wire/switch latency the topology charges.  The property tests pin this
 equivalence down byte-for-byte against the base fabric.
 
-Fast path
----------
+The walk
+--------
 Like the base fabric's :class:`~repro.network.fabric._TxChain`, the hop
-walk exists twice: a generator reference path (``_hop_proc``) and a
-callback chain.  The admission arithmetic (drop check, departure-time
-computation, accounting) runs synchronously at hop entry in **both**
-flavours — so FIFO order, drop decisions, and statistics cannot diverge —
-and the departure event is created at the same push position: the
-generator yields a pre-built ``Timeout`` where the chain schedules a
-callback, both landing at identical ``(time, priority)`` heap keys, so
-delivery interleavings match even on timestamp ties.  The
-chain-vs-generator equivalence tests enforce this under randomized
-contention.  ``fast_path=False`` / ``REPRO_FABRIC_FAST_PATH=0`` forces the
-generator path, exactly as on the base fabric.
+walk is a callback chain.  The admission arithmetic (drop check,
+departure-time computation, accounting) runs synchronously at hop entry,
+so FIFO order, drop decisions and statistics are fixed the moment a
+packet arrives; only the departure is a scheduled callback.  The
+golden-trace and contention-pin tests hold its output byte-for-byte.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Generator, Optional
+from typing import Optional
 
-from repro.des.engine import Environment, Timeout
+from repro.des.engine import Environment
 from repro.des.trace import Timeline
 from repro.network.fabric import Fabric
 from repro.network.loggp import NetworkParams
@@ -108,8 +102,8 @@ class Link:
 
         Returns the queueing delay in ps (0 for a conforming flow), or -1
         when the buffer already holds ``depth`` packets (tail-drop).  All
-        accounting happens here, synchronously — both walk flavours share
-        this single decision point.
+        accounting happens here, synchronously — the single decision
+        point of the walk.
         """
         if self.down:
             self.drops += 1
@@ -169,10 +163,9 @@ class CongestionFabric(Fabric):
     #: Observer probe slot (see :mod:`repro.obs`): an attached observer
     #: sets an *instance* attribute ``(link, now_ps, wait_ps, pkt) ->
     #: None`` called synchronously after every link admission decision
-    #: (``wait_ps < 0`` means the packet was tail-dropped).  Admission
-    #: runs at identical positions in both walk flavours, so the probe
-    #: stream is flavour-identical; the class-level ``None`` keeps the
-    #: default path to one identity test.
+    #: (``wait_ps < 0`` means the packet was tail-dropped).  The probe
+    #: only reads, so an observed walk schedules the same events; the
+    #: class-level ``None`` keeps the default path to one identity test.
     _link_probe = None
 
     def __init__(
@@ -181,10 +174,8 @@ class CongestionFabric(Fabric):
         topology,
         params: Optional[NetworkParams] = None,
         timeline: Optional[Timeline] = None,
-        fast_path: Optional[bool] = None,
     ):
-        super().__init__(env, topology, params, timeline=timeline,
-                         fast_path=fast_path)
+        super().__init__(env, topology, params, timeline=timeline)
         #: Directional links, created lazily: (src_node, dst_node) → Link.
         self.links: dict[tuple, Link] = {}
         #: Packets tail-dropped at a full link buffer (sum of link drops).
@@ -334,13 +325,7 @@ class CongestionFabric(Fabric):
 
     def _enter(self, pkt: Packet, route: tuple, hop: int) -> None:
         """Packet tail reaches hop ``hop``: admit (or tail-drop), then wait
-        out the queueing delay and forward the head.
-
-        Admission runs synchronously here for both walk flavours, so drop
-        decisions and FIFO order are identical; only the *waiting* differs
-        in mechanism — a pre-built Timeout yielded by the reference
-        generator, or a scheduled callback — at the same heap position.
-        """
+        out the queueing delay and forward the head."""
         link, _delay = route[hop]
         env = self.env
         wait = link.admit(env._now, pkt.wire_bytes * self._G, self._depth)
@@ -349,12 +334,7 @@ class CongestionFabric(Fabric):
         if wait < 0:
             self.packets_dropped_links += 1
             return
-        if self.fast_path:
-            env.schedule_fn(wait, partial(self._departed, pkt, route, hop))
-        else:
-            gate = Timeout(env, wait)
-            env.process(self._hop_proc(gate, pkt, route, hop),
-                        name=f"hop[{link.name}]")
+        env.schedule_fn(wait, partial(self._departed, pkt, route, hop))
 
     def _departed(self, pkt: Packet, route: tuple, hop: int) -> None:
         """Tail left hop ``hop``: propagate the head onward."""
@@ -364,12 +344,6 @@ class CongestionFabric(Fabric):
             self.env.schedule_fn(delay, partial(self._deliver, pkt))
         else:
             self.env.schedule_fn(delay, partial(self._enter, pkt, route, nxt))
-
-    def _hop_proc(self, gate: Timeout, pkt: Packet, route: tuple,
-                  hop: int) -> Generator:
-        """Generator reference path for one admitted (packet, hop)."""
-        yield gate
-        self._departed(pkt, route, hop)
 
     # -- introspection -----------------------------------------------------
     def link_stats(self, elapsed_ps: Optional[int] = None) -> dict[str, dict]:

@@ -13,24 +13,16 @@ assumes a full-bisection fat tree and LogGP likewise concentrates contention
 at the endpoints.  Receiver-side costs (matching, DMA, handlers) belong to
 the NIC models, not the fabric.
 
-Fast path
----------
+TX pipeline
+-----------
 Simulating millions of per-packet events makes TX serialization the kernel's
-hottest pipeline, so messages are transmitted by a callback-driven chain
-(:class:`_TxChain`) instead of a generator process.  The chain is
-**push-structure preserving**: it schedules exactly the kernel events the
-generator path would — the same wire-request grant events (real FIFO
-``Request``s on the wire server, so any number of concurrent messages at one
-NIC interleave packet-by-packet precisely as queued generators would), and
-fire-and-forget callbacks at the positions of the generator's timeouts.
-Traces are byte-for-byte identical (same ``Timeline.canonical_bytes()``,
-same interleaving under timestamp ties) — the golden-trace and
-chain-vs-generator equivalence tests enforce this.  What the chain
-eliminates is the per-packet cost: generator resumption, Event/Timeout
-allocation, and process bookkeeping.
-
-Set ``fast_path=False`` (or ``REPRO_FABRIC_FAST_PATH=0``) to force the
-generator path everywhere.
+hottest pipeline, so each message is transmitted by a callback-driven chain
+(:class:`_TxChain`) rather than a generator process.  Packets still queue on
+a real FIFO ``Server`` per source wire, so any number of concurrent messages
+at one NIC interleave packet-by-packet in request order.  The chain avoids
+the per-packet generator resumption and Event/Timeout allocation.  The
+golden-trace tests pin its output (``Timeline.canonical_bytes()`` and
+arrival order, ties included).
 """
 
 from __future__ import annotations
@@ -38,7 +30,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Optional
 
-from repro.des.engine import PRIORITY_URGENT, Environment, Event, env_flag
+from repro.des.engine import Environment, Event
 from repro.des.resources import RateLimiter, Server
 from repro.des.trace import Timeline
 from repro.network.loggp import NetworkParams
@@ -47,20 +39,13 @@ from repro.network.packets import Message, Packet, packetize
 __all__ = ["Fabric"]
 
 
-def _fast_path_default() -> bool:
-    return env_flag("REPRO_FABRIC_FAST_PATH")
-
-
 class _TxChain:
     """Callback-driven TX pipeline for one message.
 
-    Stage chain, each stage mirroring one kernel event of the generator
-    path (noted in brackets):
-
-    ``_start`` [process initialize] → ``_turn`` [wait_turn timeout] →
-    per packet: wire request → ``_granted`` [request grant] →
-    ``_serve_done`` [serve timeout] → delivery callback; the last boundary
-    triggers the done event [process-end event].
+    Stage chain: ``_start`` (claim the ``g`` slot) → per packet, from the
+    slot time on: ``_request`` (join the wire FIFO) → ``_granted`` →
+    ``_serve_done`` (serialization finished) → delivery callback; the
+    last packet's boundary triggers the done event.
     """
 
     __slots__ = ("fabric", "message", "packets", "idx", "latency", "src",
@@ -81,17 +66,13 @@ class _TxChain:
         self.cur_dur = 0
 
     def _start(self) -> None:
-        """At inject time (URGENT): claim the g slot, like the process body."""
+        """At inject time: claim the g slot."""
         fabric = self.fabric
         env = fabric.env
         fabric.messages_injected += 1
         grant_at = fabric._msg_limiter[self.src].claim()
         self.latency = fabric.topology.latency_ps(self.src, self.message.target)
-        env.schedule_fn(grant_at - env._now, self._turn)
-
-    def _turn(self) -> None:
-        """g slot reached: join the wire FIFO for the first packet."""
-        self._request()
+        env.schedule_fn(grant_at - env._now, self._request)
 
     def _request(self) -> None:
         """Issue the wire request for packet ``idx`` (span includes wait)."""
@@ -107,7 +88,7 @@ class _TxChain:
         self.fabric.env.schedule_fn(self.cur_dur, self._serve_done)
 
     def _serve_done(self) -> None:
-        """One packet finished serializing (mirrors the serve timeout)."""
+        """One packet finished serializing."""
         fabric = self.fabric
         env = fabric.env
         now = env._now
@@ -115,8 +96,8 @@ class _TxChain:
         idx = self.idx
         pkt = self.packets[idx]
         # Accounting before release, span/delivery after, next request last
-        # — exactly the order Server.serve and the generator interleave
-        # them, so queued contenders are granted at identical positions.
+        # — the order Server.serve uses, so queued contenders are granted
+        # at the same positions as any other Server client.
         wire.busy_time += self.cur_dur
         wire.jobs_served += 1
         wire.release(self.req)
@@ -144,13 +125,11 @@ class Fabric:
         topology,
         params: Optional[NetworkParams] = None,
         timeline: Optional[Timeline] = None,
-        fast_path: Optional[bool] = None,
     ):
         self.env = env
         self.topology = topology
         self.params = params or NetworkParams()
         self.timeline = timeline or Timeline(enabled=False)
-        self.fast_path = _fast_path_default() if fast_path is None else fast_path
         self._rx: dict[int, Callable[[Packet], None]] = {}
         self._msg_limiter: dict[int, RateLimiter] = {}
         self._wire: dict[int, Server] = {}
@@ -239,38 +218,10 @@ class Fabric:
                 done.succeed(self.env._now)
                 return done
             raise ValueError(f"source node {src} not attached")
-        if self.fast_path:
-            chain = _TxChain(self, message)
-            # Start synchronously: the g-slot claim happens in inject order
-            # either way, and _turn's timestamp is unchanged — the URGENT
-            # 0-delay hop this used to take bought only a queue round-trip.
-            chain._start()
-            return chain.done
-        return self.env.process(
-            self._send_proc(message), name=f"tx[{src}->{message.target}]"
-        )
-
-    def _send_proc(self, message: Message):
-        loggp = self.params.loggp
-        src = message.source
-        packets = packetize(message, loggp.mtu)
-        self.messages_injected += 1
-        # g: minimum spacing between message starts at this NIC.
-        yield self._msg_limiter[src].wait_turn()
-        latency = self.topology.latency_ps(src, message.target)
-        env = self.env
-        wire = self._wire[src]
-        timeline = self.timeline
-        for pkt in packets:
-            start = env._now
-            yield from wire.serve(loggp.serialization_ps(pkt.wire_bytes))
-            if timeline.enabled:
-                timeline.record(
-                    src, "NIC-tx", start, env._now,
-                    f"m{message.msg_id}p{pkt.seq}",
-                )
-            self._dispatch(pkt, latency)
-        return env.now
+        chain = _TxChain(self, message)
+        # Start synchronously: g-slot claims happen in inject order.
+        chain._start()
+        return chain.done
 
     def _dispatch(self, pkt: Packet, latency: int) -> None:
         """Forward one serialized packet toward its destination.

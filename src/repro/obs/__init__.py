@@ -27,7 +27,7 @@ site and schedules zero extra kernel events.  The observer itself is a
 pure reader — it never records spans or schedules events — so an
 attached run's ``Timeline.canonical_bytes()`` is byte-identical to a
 detached one, and the exporter is deterministic: identical seed ⇒
-byte-identical trace JSON across both fast-path flavours.
+byte-identical trace JSON.
 
 Quickstart::
 

@@ -8,9 +8,9 @@ handler executions and packet serialisations are complete-duration
 ``"X"`` events, link queue depth and HPU input-queue depth are counter
 (``"C"``) tracks, and message completions are instant marks.
 
-Determinism: events are built from integer-picosecond streams that are
-flavour-identical (both fast paths — the golden-trace and probe-order
-contracts), sorted on integer keys before the float conversion, and
+Determinism: events are built from deterministic integer-picosecond
+streams (the golden-trace contract), sorted on integer keys before the
+float conversion, and
 serialised with fixed separators and sorted keys — so an
 identical seed produces byte-identical trace JSON everywhere.
 

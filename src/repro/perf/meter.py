@@ -8,9 +8,8 @@ environment through every scenario API — scenarios keep returning plain
 result dicts.
 
 "Kernel events" are heap entries pushed onto the event queue (timeouts,
-process resumptions, fire-and-forget callbacks).  The fabric fast path is
-push-structure-preserving (see ``network/fabric.py``), so counts are
-comparable across the slow and fast paths and across code versions.
+process resumptions, fire-and-forget callbacks).  The simulation is
+deterministic, so counts are exact and comparable across code versions.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ only per-request objects, and every latency sink is a bounded sketch —
 so the million-client runs fit a fixed RSS budget (asserted in CI via
 ``examples/million_clients.py``).  Determinism contract: all randomness
 flows from ``random.Random(seed)`` / :class:`~repro.sim.zipf.
-ZipfSampler`; byte-identical ``Timeline.canonical_bytes()`` across the
-fast/slow walk flavours is pinned by the test suite.
+ZipfSampler`; reruns give byte-identical ``Timeline.canonical_bytes()``,
+and the golden-trace tests pin each scenario's ``--tiny`` digest.
 """
 
 from __future__ import annotations

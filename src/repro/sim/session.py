@@ -15,7 +15,7 @@ programming model:
 
 The façade adds no simulation events of its own: a session-built scenario
 pushes exactly the kernel events the hand-wired equivalent pushed, so the
-golden-trace digests and fast-path equivalence contracts are preserved.
+golden-trace digests are preserved.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ scenario.  Lowering a spec:
    fabric queue depth every quarter window until four windows past the
    last scheduled arrival (the sampler is a pure reader: it adds kernel
    callbacks inside traffic runs only and never perturbs model timing, so
-   traces stay byte-identical across path flavours).
+   traces stay byte-identical with and without it).
 
 Passing ``record=[]`` appends one
 :class:`~repro.traffic.trace.TraceEvent` per offered request in issue

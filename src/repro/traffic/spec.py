@@ -25,7 +25,7 @@ A spec is frozen data; all randomness is deferred to *lowering* time
 process-global RNG, never another edge's stream.  Arrival schedules are
 materialised before the simulation starts, so kernel-event interleaving
 cannot perturb the draws: identical spec + seed means identical offered
-traffic on every executor, worker count, and path flavour.
+traffic on every executor and worker count.
 
 Times are given in **nanoseconds** (floats are fine); exact offsets are
 carried in float picoseconds and rounded once per arrival, so a schedule

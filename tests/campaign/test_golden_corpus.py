@@ -5,8 +5,8 @@ Each registered scenario runs its ``--tiny`` point in-process through
 (``json.dumps(result, sort_keys=True)``) must equal the pinned digest.
 This is the behaviour gate for refactors below the scenario layer: a
 change that claims to leave simulated results alone must leave every
-digest here alone, on the fast callback chains and on the generator
-reference paths alike.
+digest here alone.  ``tests/des/test_golden_traces.py`` pins the same
+runs' event traces.
 
 A new built-in scenario must add its digest; a deliberate change to a
 scenario's results must update its digest in the same change.
@@ -14,8 +14,6 @@ scenario's results must update its digest in the same change.
 
 import hashlib
 import json
-
-import pytest
 
 from repro.campaign.executor import run_one
 from repro.campaign.registry import BUILTIN_SCENARIO_MODULES, all_scenarios
@@ -59,11 +57,8 @@ def test_corpus_covers_every_builtin_scenario():
     assert set(_builtin_scenarios()) == set(GOLDEN)
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "slow"])
-def test_tiny_results_match_golden_digests(monkeypatch, fast):
+def test_tiny_results_match_golden_digests(monkeypatch):
     monkeypatch.setenv("REPRO_CODE_VERSION", "golden-corpus")
-    monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
-    monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
     mismatched = []
     for name, sc in _builtin_scenarios().items():
         result = run_one(name, dict(sc.tiny))

@@ -70,7 +70,7 @@ class TestCheckoutTracking:
         with pytest.raises(ValueError, match="double release"):
             pool.release(a)
 
-    def test_inline_fast_path_get_is_tracked(self):
+    def test_inline_get_is_tracked(self):
         """SpinNIC inlines ``_free.get()``; tracking lives in the store."""
         env = Environment()
         pool = HPUPool(env, 2)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.des import ns
 from repro.machine import Cluster, integrated_config, discrete_config
+from repro.machine.nic import BaselineNIC
 from repro.network import UniformLatency
 from repro.portals import (
     EventKind,
@@ -119,6 +120,31 @@ class TestPut:
         env.run()
         assert ct.success == 1
         assert ct.bytes == 512
+
+    def test_subclass_mode_routes_every_packet_to_its_deliver(self):
+        """A NIC subclass with its own ``state.extra["mode"]`` sees every
+        packet in ``_deliver_packet``, header and payload alike."""
+        seen = []
+
+        class CountingNIC(BaselineNIC):
+            def _header_hook(self, state, pkt):
+                state.extra["mode"] = "counting"
+
+                def hook():
+                    yield self.env.timeout(0)
+                return hook()
+
+            def _deliver_packet(self, state, pkt):
+                seen.append(pkt.seq)
+                yield from super()._deliver_packet(state, pkt)
+
+        cluster = two_node_cluster(nic_factory=CountingNIC)
+        env = cluster.env
+        src, dst = cluster[0], cluster[1]
+        dst.post_me(0, MatchEntry(match_bits=4, length=1 << 16))
+        env.process(src.host_put(1, 3 * 4096, match_bits=4))
+        env.run()
+        assert seen == [0, 1, 2]
 
 
 class TestGet:

@@ -3,9 +3,8 @@
 An attached observer is a pure reader — the probe slots fire into
 observer-side accumulators only, so the kernel schedules exactly the
 same events and ``Timeline.canonical_bytes()`` stays byte-identical to
-an unobserved run, on both fast-path flavours.  The exporter on top is
-deterministic: identical seed ⇒ byte-identical Perfetto JSON across
-both flavours.
+an unobserved run.  The exporter on top is deterministic: identical
+seed ⇒ byte-identical Perfetto JSON.
 """
 
 import pytest
@@ -16,15 +15,6 @@ from repro.sim import ClusterSpec, Metrics, Session
 from repro.sim.drivers import OpenLoopDriver
 
 TAG = 40
-
-#: Walk flavours: the fast callback chains and the generator reference paths.
-FLAVOURS = (True, False)
-
-
-def _set_flavour(monkeypatch, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
-    monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
-
 
 def _incast_run(observe: bool):
     """A traced incast on the congestion fabric, optionally observed.
@@ -52,20 +42,10 @@ def _incast_run(observe: bool):
         return sess.timeline.canonical_bytes(), trace
 
 
-def test_observed_run_is_trace_identical_across_all_flavours(monkeypatch):
-    results = []
-    for fast in FLAVOURS:
-        _set_flavour(monkeypatch, fast)
-        unobserved_bytes, _ = _incast_run(observe=False)
-        observed_bytes, trace = _incast_run(observe=True)
-        assert observed_bytes == unobserved_bytes, (
-            f"observer perturbed the run on fast={fast}")
-        results.append((observed_bytes, trace))
-    first_bytes, first_trace = results[0]
-    for (other_bytes, other_trace), flavour in zip(results[1:], FLAVOURS[1:]):
-        assert other_bytes == first_bytes, f"trace diverged on {flavour}"
-        assert other_trace == first_trace, (
-            f"perfetto JSON diverged on {flavour}")
+def test_observed_run_is_trace_identical_to_unobserved():
+    unobserved_bytes, _ = _incast_run(observe=False)
+    observed_bytes, _ = _incast_run(observe=True)
+    assert observed_bytes == unobserved_bytes, "observer perturbed the run"
 
 
 def test_observer_requires_a_traced_session():
@@ -112,8 +92,6 @@ def test_config_gates_each_probe_stream():
         assert obs.message_marks == []
 
 
-@pytest.mark.parametrize("fast", FLAVOURS)
-def test_same_flavour_rerun_exports_identical_json(monkeypatch, fast):
-    _set_flavour(monkeypatch, fast)
+def test_rerun_exports_identical_json():
     (_, a), (_, b) = _incast_run(observe=True), _incast_run(observe=True)
     assert a == b

@@ -1,4 +1,4 @@
-"""WindowedMetrics: bin edges, empty bins, sketches, flavour stability."""
+"""WindowedMetrics: bin edges, empty bins, sketches, rerun stability."""
 
 import json
 
@@ -6,15 +6,6 @@ import pytest
 
 from repro.sim import ClusterSpec, QuantileSketch, Session, WindowedMetrics
 from repro.traffic import BurstyOnOff, TrafficRun, TrafficSpec, all_to_one
-
-#: Walk flavours: the fast callback chains and the generator reference paths.
-FLAVOURS = (True, False)
-
-
-def _set_flavour(monkeypatch, fast: bool) -> None:
-    monkeypatch.setenv("REPRO_FABRIC_FAST_PATH", "1" if fast else "0")
-    monkeypatch.setenv("REPRO_NIC_FAST_RX", "1" if fast else "0")
-
 
 class TestBinEdges:
     def test_edges_are_exact_on_integer_picoseconds(self):
@@ -136,8 +127,8 @@ class TestQuantileSketch:
             assert a.percentile(q) == b.percentile(q)
 
 
-class TestFlavourStability:
-    """The same traffic run bins identically on every walk flavour."""
+class TestRerunStability:
+    """The same traffic run bins identically on every run."""
 
     def _run(self):
         spec = TrafficSpec(
@@ -151,13 +142,7 @@ class TestFlavourStability:
             TrafficRun(sess, spec, windows=windows).run()
         return json.dumps(windows.timeseries(), sort_keys=True)
 
-    def test_timeseries_byte_identical_across_all_flavours(
-            self, monkeypatch):
-        results = []
-        for fast in FLAVOURS:
-            _set_flavour(monkeypatch, fast)
-            results.append(self._run())
-        assert json.loads(results[0])["bins"], "no bins — weak fixture"
-        for other, fast in zip(results[1:], FLAVOURS[1:]):
-            assert other == results[0], \
-                f"flavour (fast={fast}) binned differently"
+    def test_timeseries_byte_identical_on_rerun(self):
+        first = self._run()
+        assert json.loads(first)["bins"], "no bins — weak fixture"
+        assert self._run() == first
