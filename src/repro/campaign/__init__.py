@@ -12,8 +12,8 @@ Layers
 ``planner``    grid/point expansion → :class:`~repro.campaign.planner.Job`
 ``shard``      deterministic round-robin slices of one sweep (multi-host)
 ``executor``   serial / multiprocessing execution with per-job seeding
-``cache``      append-only JSONL result store + cross-run index + merge
-``__main__``   CLI (list / run / sweep / resume / merge / index / perf)
+``cache``      append-only JSONL result store + shard merge
+``__main__``   CLI (list / run / sweep / resume / merge / perf)
 
 Quick start::
 
@@ -26,7 +26,6 @@ Quick start::
 
 from repro.campaign.cache import (
     CacheConflictError,
-    CacheIndex,
     ResultCache,
     merge_caches,
 )
@@ -52,7 +51,6 @@ from repro.campaign.version import code_version
 
 __all__ = [
     "CacheConflictError",
-    "CacheIndex",
     "CampaignResult",
     "Job",
     "Param",

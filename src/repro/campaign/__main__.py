@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.campaign`` — list/run/sweep/resume/merge/index.
+"""CLI: ``python -m repro.campaign`` — list/run/sweep/resume/merge/perf.
 
 Examples::
 
@@ -10,14 +10,12 @@ Examples::
     python -m repro.campaign sweep pingpong --shard 0/3   # one host of three
     python -m repro.campaign resume --workers 8
     python -m repro.campaign merge                        # fold shard files
-    python -m repro.campaign index --stats
 
 Sweeps record a manifest next to the result cache, so ``resume`` replays
 every known sweep; jobs whose results are already cached execute nothing.
 ``--shard i/K`` (zero-based) runs one deterministic slice of a sweep into
 its own ``results.shard-i-of-K.jsonl``; ``merge`` folds the shard files
-(and any legacy ``results.jsonl``) into the canonical cache, and
-``index`` inspects or rebuilds the cross-run record index.
+(and any legacy ``results.jsonl``) into the canonical cache.
 """
 
 from __future__ import annotations
@@ -28,17 +26,15 @@ import sys
 from pathlib import Path
 
 from repro.campaign.cache import (
-    INDEX_NAME,
     CacheConflictError,
-    CacheIndex,
-    ResultCache,
+    _parse_line,
+    append_line,
     merge_caches,
 )
 from repro.campaign.executor import run_grid, run_jobs, run_observed
 from repro.campaign.planner import plan_grid, plan_points
 from repro.campaign.registry import ScenarioError, all_scenarios, get_scenario
 from repro.campaign.shard import ShardSpec, shard_cache_name
-from repro.campaign.version import code_version
 
 DEFAULT_CAMPAIGN_DIR = Path(".campaign")
 
@@ -237,14 +233,11 @@ def cmd_perf(args) -> int:
 
 
 def _record_manifest(args, scenario: str, grid: dict) -> None:
-    path = _manifest_path(args)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as fh:
-        fh.write(json.dumps({
-            "scenario": scenario,
-            "grid": grid,
-            "base_seed": args.seed,
-        }, sort_keys=True) + "\n")
+    append_line(_manifest_path(args), json.dumps({
+        "scenario": scenario,
+        "grid": grid,
+        "base_seed": args.seed,
+    }, sort_keys=True))
 
 
 def cmd_sweep(args) -> int:
@@ -285,13 +278,12 @@ def cmd_resume(args) -> int:
         return 1
     shard, cache, read_caches = _shard_caches(args)
     manifests: dict[tuple, dict] = {}
-    with path.open() as fh:
+    with path.open("rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            m = json.loads(line)
-            manifests[(m["scenario"], json.dumps(m["grid"], sort_keys=True))] = m
+            m = _parse_line(line)  # a sweep killed mid-write tears its line
+            if m is not None:
+                manifests[(m["scenario"],
+                           json.dumps(m["grid"], sort_keys=True))] = m
     total_exec = total_cached = failures = 0
     for m in manifests.values():
         if args.scenario and m["scenario"] != args.scenario:
@@ -317,22 +309,14 @@ def cmd_resume(args) -> int:
     return 1 if failures else 0
 
 
-def _campaign_cache_files(args) -> list[Path]:
-    """The canonical cache plus any shard files, in a stable order."""
-    directory = Path(args.campaign_dir)
-    canonical = _cache_path(args)
-    files = [canonical] if canonical.exists() else []
-    files += sorted(directory.glob("results.shard-*-of-*.jsonl"))
-    return files
-
-
 def cmd_merge(args) -> int:
     canonical = _cache_path(args)
-    sources = _campaign_cache_files(args)
+    shard_files = sorted(
+        Path(args.campaign_dir).glob("results.shard-*-of-*.jsonl"))
+    sources = ([canonical] if canonical.exists() else []) + shard_files
     if not sources:
         print(f"no caches under {args.campaign_dir}; nothing to merge")
         return 1
-    shard_files = [p for p in sources if p != canonical]
     try:
         report = merge_caches(sources, canonical)
     except CacheConflictError as exc:
@@ -343,47 +327,11 @@ def cmd_merge(args) -> int:
     if not args.keep_shards:
         for path in shard_files:
             path.unlink()
-            # Drop the deleted file's index entries with it.
-            ResultCache(path).rebuild_index()
     print(f"merged {len(report['per_file'])} files -> {report['dest']} "
           f"({report['records']} records, "
           f"{report['conflicts_checked']} cross-file keys verified"
           + (", shard files removed)" if shard_files and not args.keep_shards
              else ")"))
-    return 0
-
-
-def cmd_index(args) -> int:
-    directory = Path(args.campaign_dir)
-    index = CacheIndex(directory / INDEX_NAME)
-    files = _campaign_cache_files(args)
-    if args.rebuild:
-        for path in files:
-            n = ResultCache(path).rebuild_index()
-            print(f"  rebuilt {path.name}: {n} live records")
-    if not files:
-        print(f"no caches under {directory}")
-        return 0 if args.rebuild else 1
-    # Hit rates come from an instrumented load of each cache file.
-    for path in files:
-        cache = ResultCache(path)
-        cache.load()
-        s = cache.last_load_stats
-        # Hit rate = lines the index handled (resolved by seek OR skipped
-        # unparsed as superseded) over all lines considered.
-        handled = s["indexed"] + s["skipped"]
-        total_lines = handled + s["scanned"]
-        hit = handled / total_lines if total_lines else 1.0
-        print(f"  {path.name}: {s['records']} records, "
-              f"{s['indexed']} via index, {s['skipped']} skipped unparsed, "
-              f"{s['scanned']} scanned, hit rate {hit:.0%}"
-              + (" [FULL SCAN]" if s["full_scan"] else ""))
-    stats = index.stats(current_version=code_version())
-    stale = sum(stats["stale_code_versions"].values())
-    print(f"index: {stats['entries']} entries, {stats['live_records']} live, "
-          f"{stats['superseded']} superseded, {stale} stale-code-version"
-          + (f" {dict(sorted(stats['stale_code_versions'].items()))}"
-             if stale else ""))
     return 0
 
 
@@ -422,8 +370,6 @@ def main(argv=None) -> int:
     p_list.add_argument("--tag", default=None, metavar="TAG",
                         help="only scenarios carrying this tag "
                              "(e.g. traffic, faults, congestion)")
-    p_list.add_argument("--params", action="store_true",
-                        help="(default; kept for compatibility)")
     p_list.set_defaults(fn=cmd_list)
 
     p_run = sub.add_parser("run", help="run one scenario point")
@@ -510,16 +456,6 @@ def main(argv=None) -> int:
                          help="leave results.shard-*.jsonl files in place "
                               "after folding them in")
     p_merge.set_defaults(fn=cmd_merge)
-
-    p_index = sub.add_parser(
-        "index",
-        help="inspect or rebuild the cross-run cache index (index.jsonl)")
-    p_index.add_argument("--stats", action="store_true",
-                         help="(default; kept for symmetry) print per-file "
-                              "hit rates and stale code-version counts")
-    p_index.add_argument("--rebuild", action="store_true",
-                         help="re-derive index entries from the cache files")
-    p_index.set_defaults(fn=cmd_index)
 
     args = parser.parse_args(argv)
     try:

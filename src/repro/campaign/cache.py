@@ -1,4 +1,4 @@
-"""JSON-lines result cache for campaign runs, with a cross-run index.
+"""JSON-lines result cache for campaign runs.
 
 Each record is one line of JSON::
 
@@ -11,32 +11,10 @@ what makes interrupted campaigns resumable and repeated campaigns free.
 Records are append-only (last record for a key wins), so concurrent
 history survives and the file doubles as a run log.
 
-The index
----------
-A multi-sweep history accumulates thousands of records, most of them
-superseded duplicates or stale code versions; re-parsing every one on
-every ``load()`` is what the **cross-run index** removes.  ``index.jsonl``
-lives next to the cache files and holds one compact line per appended
-record::
-
-    {"file": "results.jsonl", "key": "...", "offset": 1234,
-     "length": 210, "code_version": "..."}
-
-Invariants:
-
-* **append-only** — every :meth:`ResultCache.append` writes the data line
-  and then its index line; nothing is ever edited in place;
-* **pure accelerator** — the index carries no information of its own:
-  byte ranges *not* covered by index entries (legacy caches, torn lines
-  from killed runs, raw appends) are scanned tolerantly, and a corrupt or
-  stale index makes ``load()`` fall back to a full scan and rebuild it;
-* **rebuildable on demand** — :meth:`ResultCache.rebuild_index` (or
-  ``python -m repro.campaign index --rebuild``) re-derives a file's
-  entries from its contents.
-
-With a healthy index, ``load()`` JSON-parses only the *last* record per
-key and skips every superseded line — the dominant cost for big result
-payloads.
+:meth:`ResultCache.load` is one tolerant scan of the file: blank lines and
+a line torn by a run killed mid-append are skipped, and
+:func:`append_line` never glues a fresh line onto such a tear.  Sweep
+manifests are written through the same helper.
 
 Sharded campaigns write per-shard files (``results.shard-i-of-K.jsonl``);
 :func:`merge_caches` folds them (plus any legacy ``results.jsonl``) into
@@ -48,23 +26,14 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None
-
-__all__ = ["CacheConflictError", "CacheIndex", "ResultCache", "merge_caches"]
+__all__ = ["CacheConflictError", "ResultCache", "append_line", "merge_caches"]
 
 #: Fields of a record that identify the computation (everything except
 #: measurement noise like wall-clock timings).
 DETERMINISTIC_FIELDS = ("key", "scenario", "params", "seed", "code_version", "result")
-
-#: Default index file name, shared by every cache file in one directory.
-INDEX_NAME = "index.jsonl"
 
 
 class CacheConflictError(RuntimeError):
@@ -83,256 +52,44 @@ def _parse_line(line: Union[str, bytes]) -> Optional[dict]:
     return rec if isinstance(rec, dict) else None
 
 
-class CacheIndex:
-    """Append-only record locator shared by the cache files of one dir.
+def append_line(path: Path, line: str) -> None:
+    """Append one JSONL line in a single write.
 
-    One index serves every cache file in a directory, so concurrent shard
-    processes (which de-contend the *result* files, not the index) write
-    here simultaneously.  Appends are single ``write`` calls on an
-    append-mode handle under a shared ``flock``; :meth:`rewrite` holds an
-    exclusive one and rewrites the file *in place* (same inode, no
-    tmp-and-replace), so a rebuild can never swap the file out from under
-    a blocked appender and lose its entries.  Unlocked readers may catch
-    a mid-rewrite state; that only costs them a full-scan fallback.
+    A killed run may have left a torn line without a newline; end it
+    first, so the fresh line is never concatenated onto the tear.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    data = (line + "\n").encode()
+    with path.open("a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                data = b"\n" + data
+        fh.write(data)
+
+
+class ResultCache:
+    """Append-only JSONL store keyed by the planner's cache key."""
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
 
-    @contextmanager
-    def _locked(self, fh, exclusive: bool):
-        if fcntl is None:  # pragma: no cover - non-POSIX
-            yield
-            return
-        fcntl.flock(fh, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-        try:
-            yield
-        finally:
-            fcntl.flock(fh, fcntl.LOCK_UN)
-
-    def append(self, file: str, key: str, offset: int, length: int,
-               code_version: str) -> None:
-        """Register one just-appended record of ``file``."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(
-            {"file": file, "key": key, "offset": offset, "length": length,
-             "code_version": code_version},
-            sort_keys=True,
-        )
-        with self.path.open("a") as fh:
-            with self._locked(fh, exclusive=False):
-                fh.write(line + "\n")
-
-    def entries(self) -> list[dict]:
-        """Every valid index entry, in append order (torn lines skipped)."""
-        if not self.path.exists():
-            return []
-        out = []
-        with self.path.open("rb") as fh:
-            for line in fh:
-                e = _parse_line(line)
-                if e is not None and {"file", "key", "offset", "length"} <= set(e):
-                    out.append(e)
-        return out
-
-    def entries_for(self, file: str) -> list[dict]:
-        return [e for e in self.entries() if e["file"] == file]
-
-    def rewrite(self, file: str, entries: Iterable[tuple[str, int, int, str]]) -> None:
-        """Replace ``file``'s entries in place (other files' are kept)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a+") as fh:
-            with self._locked(fh, exclusive=True):
-                fh.seek(0)
-                out = []
-                for line in fh:
-                    e = _parse_line(line)
-                    if (e is not None
-                            and {"file", "key", "offset", "length"} <= set(e)
-                            and e.get("file") != file):
-                        out.append(json.dumps(e, sort_keys=True))
-                for key, offset, length, code_version in entries:
-                    out.append(json.dumps(
-                        {"file": file, "key": key, "offset": offset,
-                         "length": length, "code_version": code_version},
-                        sort_keys=True,
-                    ))
-                fh.seek(0)
-                fh.truncate()
-                fh.write("".join(line + "\n" for line in out))
-
-    def stats(self, current_version: Optional[str] = None) -> dict:
-        """Aggregate index health: entry counts and stale code versions.
-
-        ``stale_code_versions`` counts, per version, the live (last-wins)
-        records whose ``code_version`` differs from ``current_version`` —
-        i.e. cache entries a sweep under the current code cannot reuse.
-        """
-        entries = self.entries()
-        per_file: dict[str, int] = {}
-        live: dict[tuple[str, str], str] = {}
-        for e in entries:
-            per_file[e["file"]] = per_file.get(e["file"], 0) + 1
-            live[(e["file"], e["key"])] = e.get("code_version", "")
-        stale: dict[str, int] = {}
-        if current_version is not None:
-            for version in live.values():
-                if version != current_version:
-                    stale[version] = stale.get(version, 0) + 1
-        return {
-            "entries": len(entries),
-            "live_records": len(live),
-            "superseded": len(entries) - len(live),
-            "per_file": per_file,
-            "stale_code_versions": stale,
-        }
-
-
-class ResultCache:
-    """Append-only JSONL store keyed by the planner's cache key.
-
-    ``index_path="auto"`` (the default) maintains ``index.jsonl`` next to
-    the cache file; pass ``index_path=None`` to disable indexing (pure
-    legacy behaviour).  ``last_load_stats`` describes the most recent
-    :meth:`load`: how many records were resolved via the index
-    (``indexed``), skipped as superseded without parsing (``skipped``),
-    parsed from unindexed byte ranges (``scanned``), and whether the index
-    had to be abandoned for a full scan (``full_scan``).
-    """
-
-    def __init__(self, path: Union[str, Path],
-                 index_path: Union[str, Path, None] = "auto"):
-        self.path = Path(path)
-        if index_path == "auto":
-            index_path = self.path.parent / INDEX_NAME
-        self.index = CacheIndex(index_path) if index_path is not None else None
-        self.last_load_stats: dict = {}
-
-    # -- reading -----------------------------------------------------------
     def load(self) -> dict[str, dict]:
         """All records by key (last one wins); {} if the file is absent."""
-        stats = {"records": 0, "indexed": 0, "skipped": 0, "scanned": 0,
-                 "full_scan": False}
-        self.last_load_stats = stats
         records: dict[str, dict] = {}
         if not self.path.exists():
             return records
-        if self.index is not None and self._load_indexed(records, stats):
-            stats["records"] = len(records)
-            return records
-        records.clear()
-        stats.update(indexed=0, skipped=0, scanned=0, full_scan=True)
-        self._load_full(records, stats)
-        stats["records"] = len(records)
-        return records
-
-    def _load_indexed(self, records: dict, stats: dict) -> bool:
-        """Index-accelerated load; False means 'fall back to a full scan'.
-
-        Walks the file in offset order: index entries that lost a
-        last-wins race are skipped without parsing, surviving entries are
-        parsed via seek, and any byte range the index does not cover
-        (legacy records, torn lines, raw appends) is scanned tolerantly —
-        so a partial index is still exact, just less of a shortcut.
-        """
-        entries = self.index.entries_for(self.path.name)
-        size = self.path.stat().st_size
-        if not entries:
-            return size == 0
-        entries.sort(key=lambda e: e["offset"])
-        last_for_key: dict[str, dict] = {}
-        for e in entries:
-            last_for_key[e["key"]] = e  # ascending offsets: later wins
-        pos = 0
-        with self.path.open("rb") as fh:
-            for e in entries:
-                offset, length = e["offset"], e["length"]
-                if offset < pos or length <= 0 or offset + length > size:
-                    return False  # overlapping/out-of-range: index corrupt
-                if offset > pos:
-                    self._scan_region(fh, pos, offset, records, stats)
-                if last_for_key[e["key"]] is e:
-                    fh.seek(offset)
-                    rec = _parse_line(fh.read(length))
-                    if rec is None or rec.get("key") != e["key"]:
-                        return False  # entry does not match the file
-                    records[rec["key"]] = rec
-                    stats["indexed"] += 1
-                else:
-                    stats["skipped"] += 1
-                pos = offset + length
-            if pos < size:
-                self._scan_region(fh, pos, size, records, stats)
-        return True
-
-    def _scan_region(self, fh, start: int, end: int, records: dict,
-                     stats: dict) -> None:
-        """Tolerantly parse an unindexed byte range of the data file."""
-        fh.seek(start)
-        for line in fh.read(end - start).splitlines():
-            rec = _parse_line(line)
-            if rec is not None and "key" in rec:
-                records[rec["key"]] = rec
-                stats["scanned"] += 1
-
-    def _load_full(self, records: dict, stats: dict) -> None:
-        """Full tolerant scan; rebuilds the index as a side effect."""
-        entries = []
-        offset = 0
         with self.path.open("rb") as fh:
             for line in fh:
-                start, offset = offset, offset + len(line)
                 rec = _parse_line(line)
-                if rec is None or "key" not in rec:
-                    continue  # tolerate a torn final line from a killed run
-                records[rec["key"]] = rec
-                stats["scanned"] += 1
-                entries.append((rec["key"], start, len(line),
-                                rec.get("code_version", "")))
-        if self.index is not None:
-            try:
-                self.index.rewrite(self.path.name, entries)
-            except OSError:  # pragma: no cover - read-only cache dir
-                pass
+                if rec is not None and "key" in rec:
+                    records[rec["key"]] = rec
+        return records
 
-    def rebuild_index(self) -> int:
-        """Re-derive this file's index entries from its contents."""
-        records: dict[str, dict] = {}
-        stats = {"records": 0, "indexed": 0, "skipped": 0, "scanned": 0,
-                 "full_scan": True}
-        if self.path.exists():
-            self._load_full(records, stats)
-        elif self.index is not None:
-            self.index.rewrite(self.path.name, [])
-        return len(records)
-
-    # -- writing -----------------------------------------------------------
     def append(self, record: dict) -> None:
-        """Durably append one result record (and its index entry)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = (json.dumps(record, sort_keys=True) + "\n").encode()
-        offset = self.path.stat().st_size if self.path.exists() else 0
-        repair = b""
-        if offset:
-            # A killed run may have left a torn line without a newline;
-            # never concatenate a fresh record onto it.
-            with self.path.open("rb") as fh:
-                fh.seek(offset - 1)
-                if fh.read(1) != b"\n":
-                    repair = b"\n"
-        with self.path.open("ab") as fh:
-            fh.write(repair + line)
-        if self.index is not None:
-            try:
-                self.index.append(self.path.name, record["key"],
-                                  offset + len(repair), len(line),
-                                  record.get("code_version", ""))
-            except OSError:  # pragma: no cover - read-only cache dir
-                pass
-
-    def append_many(self, records: Iterable[dict]) -> None:
-        for rec in records:
-            self.append(rec)
+        """Durably append one result record."""
+        append_line(self.path, json.dumps(record, sort_keys=True))
 
     @staticmethod
     def deterministic_view(record: dict) -> dict:
@@ -341,8 +98,7 @@ class ResultCache:
 
 
 def merge_caches(sources: Sequence[Union[str, Path]],
-                 dest: Union[str, Path],
-                 index_path: Union[str, Path, None] = "auto") -> dict:
+                 dest: Union[str, Path]) -> dict:
     """Fold several cache files into one canonical cache at ``dest``.
 
     Within a file, the ordinary last-record-wins rule applies.  Across
@@ -353,8 +109,8 @@ def merge_caches(sources: Sequence[Union[str, Path]],
     silently picking a winner.
 
     ``dest`` may itself appear in ``sources`` (the legacy-results case);
-    the canonical file is written atomically and its index rebuilt.
-    Returns a report dict (``records``, ``per_file``, ``conflicts_checked``).
+    the canonical file is written atomically.  Returns a report dict
+    (``records``, ``per_file``, ``conflicts_checked``).
     """
     dest = Path(dest)
     merged: dict[str, dict] = {}
@@ -365,7 +121,7 @@ def merge_caches(sources: Sequence[Union[str, Path]],
         src = Path(src)
         if not src.exists():
             continue
-        recs = ResultCache(src, index_path=index_path).load()
+        recs = ResultCache(src).load()
         per_file[src.name] = len(recs)
         for key, rec in recs.items():
             if key in merged:
@@ -386,8 +142,6 @@ def merge_caches(sources: Sequence[Union[str, Path]],
         for rec in merged.values():
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     os.replace(tmp, dest)
-    canonical = ResultCache(dest, index_path=index_path)
-    canonical.rebuild_index()
     return {
         "dest": str(dest),
         "records": len(merged),

@@ -29,12 +29,6 @@ def test_list_brief_shows_only_names(capsys):
         assert name in out
 
 
-def test_list_accepts_legacy_params_flag(capsys):
-    assert main(["list", "--params"]) == 0
-    out = capsys.readouterr().out
-    assert "default sweep" in out
-
-
 def test_every_registered_tag_is_listable(capsys):
     tags = sorted({t for sc in all_scenarios().values() for t in sc.tags})
     assert tags, "no scenario carries a tag — weak fixture"
