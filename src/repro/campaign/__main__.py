@@ -192,44 +192,24 @@ def cmd_run(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    from repro.perf.basket import compare_to_baseline, load_bench, run_baskets
+    from repro.perf.basket import BASKETS, run_baskets
 
+    unknown = [name for name in args.basket if name not in BASKETS]
+    if unknown:
+        print(f"error: unknown basket {unknown[0]!r}; known: "
+              f"{', '.join(BASKETS)}", file=sys.stderr)
+        return 2
     # With --json, stdout is the machine-readable document — progress and
     # human-readable lines are suppressed (errors still go to stderr).
-    doc = run_baskets(tiny=args.tiny, names=args.basket or None,
-                      progress=None if args.json else print,
-                      repeats=args.repeats)
-    status = 0
+    doc = run_baskets(names=args.basket or None,
+                      progress=None if args.json else print)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
         if not args.json:
             print(f"wrote {args.out}")
-    if args.check:
-        bench = load_bench(args.check)
-        which = "tiny" if args.tiny else "full"
-        committed = bench.get("optimized", {}).get(which) or bench.get(which) or {}
-        ratios = compare_to_baseline(doc, committed)
-        if not ratios:
-            print(f"error: no comparable baskets in {args.check}", file=sys.stderr)
-            return 2
-        failed = {k: r for k, r in ratios.items() if r < args.min_ratio}
-        doc["check"] = {
-            "against": str(args.check),
-            "min_ratio": args.min_ratio,
-            "ratios": {k: ratios[k] for k in sorted(ratios)},
-            "failed": sorted(failed),
-        }
-        if not args.json:
-            for name, ratio in sorted(ratios.items()):
-                verdict = "FAIL" if name in failed else "ok"
-                print(f"  {name:>14}: {ratio:.2f}x of committed ({verdict})")
-        if failed:
-            print(f"error: events/sec regressed below {args.min_ratio:.2f}x "
-                  f"of the committed numbers: {sorted(failed)}", file=sys.stderr)
-            status = 1
     if args.json:
         print(json.dumps(doc, indent=1, sort_keys=True))
-    return status
+    return 0
 
 
 def _record_manifest(args, scenario: str, grid: dict) -> None:
@@ -401,27 +381,15 @@ def main(argv=None) -> int:
 
     p_perf = sub.add_parser(
         "perf",
-        help="measure the perf basket (kernel events/sec per workload mix)")
-    p_perf.add_argument("--tiny", action="store_true",
-                        help="small-scale smoke variant of each basket")
+        help="run the perf basket (kernel events per workload mix; wall "
+             "time and events/sec are informational)")
     p_perf.add_argument("-b", "--basket", action="append", default=[],
                         metavar="NAME", help="run only the named basket(s)")
-    p_perf.add_argument("--repeats", type=int, default=3,
-                        help="measure each basket N times, keep the best "
-                             "(default 3; guards against scheduler noise)")
     p_perf.add_argument("--out", default=None, metavar="FILE",
                         help="write the measurement document as JSON")
-    p_perf.add_argument("--check", default=None, metavar="BENCH_JSON",
-                        help="compare events/sec against a committed "
-                             "BENCH_*.json and fail on regression")
     p_perf.add_argument("--json", action="store_true",
-                        help="emit the measurement document (plus any "
-                             "--check ratios) as JSON on stdout and "
-                             "suppress progress output")
-    p_perf.add_argument("--min-ratio", type=float, default=0.70,
-                        help="minimum acceptable events/sec ratio vs the "
-                             "committed numbers (default 0.70 = fail when "
-                             "regressed >30%%)")
+                        help="emit the measurement document as JSON on "
+                             "stdout and suppress progress output")
     p_perf.set_defaults(fn=cmd_perf)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter-grid sweep")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.machine.cluster import Cluster
 from repro.machine.config import (
     CROSS_POD_LATENCY_PS,
     MachineConfig,
@@ -12,8 +11,7 @@ from repro.machine.config import (
 )
 from repro.sim.session import ClusterSpec, Session
 
-__all__ = ["config_by_name", "pair_cluster", "pair_session",
-           "CROSS_POD_LATENCY_PS"]
+__all__ = ["config_by_name", "pair_session", "CROSS_POD_LATENCY_PS"]
 
 
 def pair_session(
@@ -41,14 +39,3 @@ def pair_session(
         with_memory=with_memory,
     ))
 
-
-def pair_cluster(
-    config: MachineConfig,
-    nprocs: int = 2,
-    trace: bool = False,
-    with_memory: bool = True,
-    latency_ps: Optional[int] = None,
-) -> Cluster:
-    """Back-compat wrapper: the bare cluster of :func:`pair_session`."""
-    return pair_session(config, nprocs=nprocs, trace=trace,
-                        with_memory=with_memory, latency_ps=latency_ps).cluster

@@ -1,17 +1,15 @@
 """Simulator performance tracking.
 
-The paper's whole premise is sustaining line-rate packet processing; the
-reproduction mirrors that by making *simulator* throughput (kernel events
-per wall-clock second) a first-class, tracked metric.
-
 * :mod:`repro.perf.meter` — counts kernel events across every Environment
   created inside a measurement window.
-* :mod:`repro.perf.basket` — a fixed basket of scenarios (small-message,
-  large-message, storage-trace, app-scale) measured by
-  ``python -m repro.campaign perf``; results land in ``BENCH_<n>.json``.
+* :mod:`repro.perf.basket` — seven fixed scenario mixes (small-message,
+  large-message, storage-trace, app-scale, congestion, kernel-ops,
+  serving) measured by ``python -m repro.campaign perf``.  Their exact
+  kernel-event and environment counts are pinned in
+  ``tests/perf/test_perf.py``; host time is measured by ``perfbench/``.
 """
 
 from repro.perf.meter import KernelMeter
-from repro.perf.basket import BASKETS, run_baskets, compare_to_baseline
+from repro.perf.basket import BASKETS, run_baskets
 
-__all__ = ["BASKETS", "KernelMeter", "compare_to_baseline", "run_baskets"]
+__all__ = ["BASKETS", "KernelMeter", "run_baskets"]

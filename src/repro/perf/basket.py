@@ -1,4 +1,4 @@
-"""The perf basket: fixed scenario mixes whose throughput we track per PR.
+"""The perf basket: fixed scenario mixes whose kernel-event counts are pinned.
 
 Seven baskets cover the simulator's load profiles:
 
@@ -9,32 +9,33 @@ Seven baskets cover the simulator's load profiles:
   RDMA and sPIN protocols (deep pipelines, heavy contention);
 * **app-scale** — full-application trace matching at 16 ranks;
 * **congestion** — incast and permutation mixes on the congestion fabric
-  (per-link routed walks dominate; added with the fabric in PR 4);
+  (per-link routed walks dominate);
 * **kernel-ops** — pure event-queue churn with no model code, isolating
-  the event core itself (added in PR 6);
+  the event core itself;
 * **serving** — million-client population serving: fluid arrival
-  callbacks, streaming sketch inserts, Zipf draws, windowed SLO tracking
-  (added with the population driver in PR 10).
+  callbacks, streaming sketch inserts, Zipf draws, windowed SLO tracking.
 
 ``run_baskets`` executes each basket under a :class:`KernelMeter` and
-reports wall seconds, kernel events, and events/sec.  ``python -m
-repro.campaign perf`` is the CLI; ``BENCH_<n>.json`` files committed at the
-repo root record the trajectory (see ROADMAP "Performance tracking").
+reports kernel events, environments, wall seconds and events/sec.  The
+simulation is deterministic, so the event and environment counts are
+exact: ``tests/perf/test_perf.py`` pins them per basket, and a change
+that moves one fails as a named diff.  Wall time and events/sec are
+informational; host-time verdicts come from ``perfbench/``.
+``python -m repro.campaign perf`` is the CLI.
 
 Basket definitions are append-only by convention: changing an existing
-basket invalidates the committed trajectory, so add a new basket instead.
+basket invalidates its pinned counts, so add a new basket instead.
 """
 
 from __future__ import annotations
 
-import json
 import platform
 import sys
 from typing import Callable, Optional
 
 from repro.perf.meter import KernelMeter
 
-__all__ = ["BASKETS", "compare_to_baseline", "run_baskets"]
+__all__ = ["BASKETS", "run_baskets"]
 
 
 def _small_message(scale: int) -> None:
@@ -159,86 +160,48 @@ def _serving(scale: int) -> None:
                      "window_ns": 40_000.0, "seed": 3 + rep})
 
 
-#: name -> (workload fn taking a scale factor, full-run scale, tiny scale)
-#: Tiny scales are sized so each measurement window is tens of ms at least;
-#: shorter windows make events/sec hostage to a single scheduler preemption.
-BASKETS: dict[str, tuple[Callable[[int], None], int, int]] = {
-    "small-message": (_small_message, 400, 8),
-    "large-message": (_large_message, 60, 2),
-    "storage-trace": (_storage_trace, 12, 2),
-    "app-scale": (_app_scale, 6, 1),
-    "congestion": (_congestion, 12, 1),
-    "kernel-ops": (_kernel_ops, 120, 8),
-    "serving": (_serving, 10, 1),
+#: name -> (workload fn taking a scale factor, scale).  The scales keep
+#: every basket to well under a second; the pinned counts depend on them.
+BASKETS: dict[str, tuple[Callable[[int], None], int]] = {
+    "small-message": (_small_message, 8),
+    "large-message": (_large_message, 2),
+    "storage-trace": (_storage_trace, 2),
+    "app-scale": (_app_scale, 1),
+    "congestion": (_congestion, 1),
+    "kernel-ops": (_kernel_ops, 8),
+    "serving": (_serving, 1),
 }
 
 
 def run_baskets(
-    tiny: bool = False,
     names: Optional[list[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    repeats: int = 1,
 ) -> dict:
-    """Run the basket and return the measurement document (JSON-ready).
-
-    ``repeats`` re-runs each basket and keeps the best (lowest-wall)
-    measurement — one scheduler preemption inside a short window otherwise
-    halves events/sec, so regression gates should use ``repeats >= 3``
-    (matching how committed BENCH numbers are captured).
-    """
+    """Run the basket and return the measurement document (JSON-ready)."""
     wanted = names or list(BASKETS)
     unknown = [n for n in wanted if n not in BASKETS]
     if unknown:
         raise ValueError(f"unknown baskets {unknown}; known: {list(BASKETS)}")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     baskets = {}
     for name in wanted:
-        fn, full_scale, tiny_scale = BASKETS[name]
-        scale = tiny_scale if tiny else full_scale
-        fn(1)  # warm imports and caches out of the timed window
-        best = None
-        for _ in range(repeats):
-            with KernelMeter() as meter:
-                fn(scale)
-            if best is None or meter.wall_s < best.wall_s:
-                best = meter
+        fn, scale = BASKETS[name]
+        fn(1)  # warm imports and caches out of the measured window
+        with KernelMeter() as meter:
+            fn(scale)
         baskets[name] = {
             "scale": scale,
-            "wall_s": round(best.wall_s, 4),
-            "kernel_events": best.events,
-            "events_per_sec": round(best.events_per_sec, 1),
-            "environments": best.environments,
+            "wall_s": round(meter.wall_s, 4),
+            "kernel_events": meter.events,
+            "events_per_sec": round(meter.events_per_sec, 1),
+            "environments": meter.environments,
         }
         if progress is not None:
             progress(
-                f"{name:>14}: {best.events} events in {best.wall_s:.2f}s "
-                f"-> {best.events_per_sec:,.0f} events/s"
+                f"{name:>14}: {meter.events} events in {meter.wall_s:.2f}s "
+                f"-> {meter.events_per_sec:,.0f} events/s"
             )
     return {
-        "tiny": tiny,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "baskets": baskets,
     }
-
-
-def compare_to_baseline(measured: dict, baseline: dict) -> dict:
-    """Per-basket events/sec ratios of ``measured`` over ``baseline``.
-
-    Both arguments are measurement documents from :func:`run_baskets` (the
-    baseline typically parsed from a committed ``BENCH_<n>.json``'s
-    ``"baseline"`` key).  Baskets missing on either side are skipped.
-    """
-    ratios = {}
-    for name, m in measured.get("baskets", {}).items():
-        b = baseline.get("baskets", {}).get(name)
-        if b and b.get("events_per_sec"):
-            ratios[name] = round(m["events_per_sec"] / b["events_per_sec"], 3)
-    return ratios
-
-
-def load_bench(path) -> dict:
-    """Parse a committed BENCH_*.json."""
-    with open(path) as fh:
-        return json.load(fh)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.nic import SpinNIC
 from repro.des import ns
-from repro.experiments.common import pair_cluster
+from repro.experiments.common import pair_session
 from repro.machine.config import integrated_config
 from repro.portals.types import ANY_SOURCE
 from repro.runtime import MPIEndpoint
@@ -14,7 +14,7 @@ LARGE = 1 << 17  # beyond the default eager threshold
 
 
 def make_pair(protocol, **kw):
-    cluster = pair_cluster(integrated_config(), with_memory=False)
+    cluster = pair_session(integrated_config(), with_memory=False).cluster
     a = MPIEndpoint(cluster[0], protocol, **kw)
     b = MPIEndpoint(cluster[1], protocol, **kw)
     return cluster, a, b
