@@ -89,7 +89,6 @@ class SpinNIC(BaselineNIC):
             or msg.kind not in ("put", "atomic")
         ):
             # No handler binding: plain deposit path, nothing timed to run.
-            state.extra["mode"] = "baseline"
             return None
         return self._spin_header(state, pkt)
 
@@ -97,16 +96,10 @@ class SpinNIC(BaselineNIC):
         msg = state.message
         hs: HandlerSet = state.match.entry.spin
         hs.ensure_state()
-        state.extra.update(
-            hs=hs,
-            mode="undecided",
-            flow_ctl=False,
-            pending=False,
-            handler_events=[],
-            error_raised=False,
-        )
-        header_done = self.env.event()
-        state.extra["header_done"] = header_done
+        state.hs = hs
+        state.mode = "undecided"
+        state.handler_events = []
+        state.header_done = header_done = self.env.event()
 
         if hs.header_handler is None:
             code = (
@@ -118,72 +111,53 @@ class SpinNIC(BaselineNIC):
             code = yield from self._run_handler(
                 state, "hh", hs.header_handler, msg
             )
-        state.extra["pending"] = state.extra["pending"] or code.is_pending
+        state.pending = code.is_pending
         if code.is_error or code.drops_message:
-            state.extra["mode"] = "drop"
+            state.mode = "drop"
         elif code.proceeds:
-            state.extra["mode"] = "proceed"
+            state.mode = "proceed"
         elif code.processes_data:
-            state.extra["mode"] = "process"
+            state.mode = "process"
         else:
             raise HandlerError(f"invalid header-handler return code {code}")
-        header_done.succeed(state.extra["mode"])
+        header_done.succeed(state.mode)
 
     # -- per-packet path ---------------------------------------------------
-    def _deliver_packet(self, state: _MessageRx, pkt: Packet) -> Generator:
-        mode = state.extra.get("mode", "baseline")
-        if mode == "baseline":
-            yield from super()._deliver_packet(state, pkt)
-            return
-        if mode == "undecided":
-            # The header handler has not finished yet; payload packets wait
-            # (no payload handler may start before the header handler ends).
-            yield state.extra["header_done"]
-            mode = state.extra["mode"]
-        if mode == "proceed":
-            yield from self._deposit_put_packet(state, pkt)
-            return
-        if mode == "drop":
-            state.dropped_bytes += pkt.payload_len
-            return
-        self._spin_payload(state, pkt)
-
     def _spin_payload(self, state: _MessageRx, pkt: Packet) -> None:
         """Dispatch one payload packet to the HPU pool (yield-free).
 
         Flow-control checks and the handler-process spawn are synchronous,
-        which lets the RX chain call this inline; packets that arrived
-        while the header handler ran reach it through
-        :meth:`_deliver_packet`.
+        so the RX chain's one deposit calls this inline — also for packets
+        it held while the header handler ran, once that handler returns
+        PROCESS_DATA.
         """
         # Packets without payload skip payload handlers.
         if pkt.payload_len == 0:
             return
         pt = self._pt_for(state.message)
-        if pt is not None and not pt.enabled:
+        if not pt.enabled:
             state.dropped_bytes += pkt.payload_len
-            state.extra["flow_ctl"] = True
+            state.flow_ctl = True
             pt.record_drop(pkt.payload_len)
             return
         if self.hpus.waiting >= self.params.max_pending_packets:
             # No HPU execution contexts: trip flow control (§3.2).
             state.dropped_bytes += pkt.payload_len
-            state.extra["flow_ctl"] = True
+            state.flow_ctl = True
             self.flow_control_trips += 1
-            if pt is not None:
-                pt.record_drop(pkt.payload_len)
-                pt.disable()
+            pt.record_drop(pkt.payload_len)
+            pt.disable()
             return
         state.bytes_seen += pkt.payload_len
         proc = self.env.process(
             self._payload_proc(state, pkt), name=self._ph_name
         )
-        state.extra["handler_events"].append(proc)
+        state.handler_events.append(proc)
         if self._obs_hpu_probe is not None:
             self._obs_hpu_probe(self.rank, self.env.now, self.hpus.waiting)
 
     def _payload_proc(self, state: _MessageRx, pkt: Packet) -> Generator:
-        hs: HandlerSet = state.extra["hs"]
+        hs: HandlerSet = state.hs
         code = yield from self._run_handler(state, "ph", hs.payload_handler, pkt)
         if code.drops_message or code.is_error:
             # Payload DROP: this packet's bytes are discarded.
@@ -192,12 +166,11 @@ class SpinNIC(BaselineNIC):
 
     # -- completion path ----------------------------------------------------
     def _finish_message(self, state: _MessageRx) -> Generator:
-        mode = state.extra.get("mode", "baseline")
-        if mode == "baseline":
+        if state.mode == "baseline":
             yield from super()._finish_message(state)
             return
         msg = state.message
-        handler_events = state.extra.get("handler_events", [])
+        handler_events = state.handler_events
         if handler_events:
             yield (handler_events[0] if len(handler_events) == 1
                    else self.env.all_of(handler_events))
@@ -209,21 +182,21 @@ class SpinNIC(BaselineNIC):
         if self._obs_msg_probe is not None:
             self._obs_msg_probe(self.rank, self.env.now, msg)
 
-        hs: HandlerSet = state.extra["hs"]
+        hs: HandlerSet = state.hs
         if hs.completion_handler is not None:
             code = yield from self._run_handler(
                 state,
                 "ch",
                 hs.completion_handler,
                 state.dropped_bytes,
-                state.extra["flow_ctl"],
+                state.flow_ctl,
             )
-            state.extra["pending"] = state.extra["pending"] or code.is_pending
+            state.pending = state.pending or code.is_pending
         if state.dma_events:
             # Writes issued by the completion handler must land before the
             # host sees the completion event.
             yield self.env.all_of(state.dma_events)
-        if not state.extra["pending"]:
+        if not state.pending:
             yield from self._complete_put(state)
 
     # -- handler execution ------------------------------------------------
@@ -238,7 +211,7 @@ class SpinNIC(BaselineNIC):
             hpu_id = yield hpus._free.get()
         finally:
             hpus._waiting -= 1
-        ctx = HandlerContext(self, state.extra["hs"], state, hpu_id)
+        ctx = HandlerContext(self, state.hs, state, hpu_id)
         cost = self.cost
         ctx._cycles = cost.invoke_cycles
         start = self.env._now
@@ -275,19 +248,17 @@ class SpinNIC(BaselineNIC):
             if ctx.total_cycles > budget:
                 # §7: kill over-budget handlers and move into flow control.
                 code = ReturnCode.FAIL
-                pt = self._pt_for(state.message)
-                if pt is not None:
-                    pt.disable()
-                state.extra["flow_ctl"] = True
+                self._pt_for(state.message).disable()
+                state.flow_ctl = True
                 self.flow_control_trips += 1
 
         self.hpus.record(hpu_id, start, self.env.now, label)
         self.hpus.release(hpu_id)
         state.dma_events.extend(ctx.dma_completions)
 
-        if code.is_error and not state.extra.get("error_raised"):
+        if code.is_error and not state.error_raised:
             # Only the first error is reported in the event queue (§B.3).
-            state.extra["error_raised"] = True
+            state.error_raised = True
             self.handler_errors.append((label, code))
             entry = state.match.entry
             if entry.event_queue is not None:

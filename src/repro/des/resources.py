@@ -180,10 +180,11 @@ class Server:
 class ServeChain:
     """Callback mirror of ``env.process(server.serve(duration))``.
 
-    Push-structure preserving: pseudo-initialize (URGENT), the server's
-    real FIFO request/grant event, and a fire-and-forget callback at the
-    serve-timeout position — no process, no generator.  Used by the callback
-    chains for fire-and-forget port occupancy (e.g. background DMA staging).
+    The server's real FIFO request is issued synchronously at construction
+    (construction order is FIFO order), then a fire-and-forget callback
+    runs at the serve-timeout position — no process, no generator.  Used by
+    the callback chains for fire-and-forget port occupancy (e.g. background
+    DMA staging).
     ``then``, when given, runs right after the service accounting, at the
     position generator code following the serve would run.
     """
@@ -196,10 +197,7 @@ class ServeChain:
             raise SimulationError(f"negative service duration {duration}")
         self.server = server
         self.duration = duration
-        self.req = None
         self.then = then
-        # Request synchronously (no URGENT 0-delay hop): construction order
-        # is FIFO order either way, and ``_done``'s timestamp is unchanged.
         self.req = req = server._resource.request()
         if req.callbacks is None:
             self._granted(req)

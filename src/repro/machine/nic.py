@@ -30,7 +30,12 @@ __all__ = ["BaselineNIC"]
 
 
 class _MessageRx:
-    """Receiver-side state for one in-flight message."""
+    """Receiver-side state for one in-flight message.
+
+    ``mode`` steers every packet's deposit (see :class:`_RxChain`); the
+    slots after it are the sPIN handler state, written only by
+    :class:`repro.core.nic.SpinNIC` for messages whose ME binds handlers.
+    """
 
     __slots__ = (
         "message",
@@ -40,7 +45,13 @@ class _MessageRx:
         "dma_events",
         "dropped_bytes",
         "finished",
-        "extra",
+        "mode",
+        "hs",
+        "header_done",
+        "handler_events",
+        "flow_ctl",
+        "pending",
+        "error_raised",
     )
 
     def __init__(self, message: Message, match: Optional[MatchResult]):
@@ -51,7 +62,13 @@ class _MessageRx:
         self.dma_events: list[Event] = []
         self.dropped_bytes = 0
         self.finished = False
-        self.extra: dict = {}
+        self.mode = "baseline"
+        self.hs = None
+        self.header_done: Optional[Event] = None
+        self.handler_events: Optional[list[Event]] = None
+        self.flow_ctl = False
+        self.pending = False
+        self.error_raised = False
 
     @property
     def complete(self) -> bool:
@@ -62,19 +79,24 @@ class _RxChain:
     """Callback-driven receive pipeline for one packet.
 
     The match-unit and memory-port requests are real FIFO requests on those
-    servers; their service completions are scheduled callbacks.  The plain
-    deposit of put/atomic/reply packets runs inline, as do the sPIN
-    ``"process"`` and ``"drop"`` modes.  Work that must wait — a header
-    handler, a message's completion — continues on the generator tails
-    (``_hook_tail``, ``_rx_tail``, ``_finish_tail``), started through
-    ``process_inline`` so that no extra kernel event is spent.
+    servers; their service completions are scheduled callbacks.  After
+    matching, every packet takes the one deposit, :meth:`_deposit`, which
+    dispatches on the message's ``state.mode``:
 
-    Which path a payload packet takes follows ``state.extra["mode"]``:
-    only ``"baseline"`` (the default) and ``"proceed"`` take the inline
-    deposit.  A subclass that changes deposit semantics gives its messages
-    a mode of its own, so the chain hands their packets to ``_rx_tail``;
-    a header packet gets there when ``_header_hook`` returns a generator.
-    Both tails run the subclass's ``_deliver_packet``.
+    * ``"baseline"`` and ``"proceed"`` — the plain deposit (DMA write of
+      put/atomic/reply payload; header-only get/ack just count);
+    * ``"process"`` — the sPIN payload-handler dispatch;
+    * ``"drop"`` — the bytes are accounted as dropped;
+    * ``"undecided"`` — the header handler is still running: the packet
+      is held by appending :meth:`_deposit` to ``state.header_done``'s
+      callbacks, so it resumes, in arrival order, once the handler has
+      set the mode.
+
+    A header packet whose ``_header_hook`` returns a generator (a sPIN
+    header handler) runs it in ``_hook_tail``, which then deposits the
+    header packet synchronously.  A message's completion continues on the
+    ``_finish_tail`` generator.  Both tails start through
+    ``process_inline``, so handing over spends no kernel event.
     """
 
     __slots__ = ("nic", "pkt", "state", "req", "t0", "bw", "offset", "nbytes",
@@ -133,10 +155,8 @@ class _RxChain:
             nic._rx[msg.msg_id] = state
             hook = nic._header_hook(state, pkt)
             if hook is not None:
-                # Header handlers (sPIN): generator path, inline.
-                env.process_inline(
-                    nic._hook_tail(hook, state, pkt), name=nic._rx_name
-                )
+                # Header handlers (sPIN): run the hook, then deposit.
+                env.process_inline(nic._hook_tail(hook, self), name=nic._rx_name)
                 return
         else:
             self.state = state = nic._rx.get(msg.msg_id)
@@ -146,30 +166,38 @@ class _RxChain:
                 # into — drop the packet, as real NICs do.
                 nic.rx_orphan_packets += 1
                 return
-            mode = state.extra.get("mode", "baseline")
-            if mode == "process":
-                # sPIN payload handlers: the dispatch itself is yield-free
-                # (flow-control checks + HPU process spawn) — run it inline.
-                nic._spin_payload(state, pkt)
-                self._after_deposit()
-                return
-            if mode == "drop":
-                state.dropped_bytes += pkt.payload_len
-                self._after_deposit()
-                return
-            if mode != "baseline" and mode != "proceed":
-                # "undecided" (header handler still running) or a
-                # subclass's own mode: the generator tail runs
-                # _deliver_packet.
-                env.process_inline(nic._rx_tail(state, pkt), name=nic._rx_name)
-                return
-            # "baseline" and "proceed" both take the plain deposit below.
+        self._deposit()
+
+    def _deposit(self, _event: Optional[Event] = None) -> None:
+        """The one per-packet deposit, dispatched on ``state.mode``.
+
+        Also the ``header_done`` callback that resumes a held packet.
+        """
+        state = self.state
+        mode = state.mode
+        if mode == "process":
+            # sPIN payload handlers: the dispatch itself is yield-free
+            # (flow-control checks + HPU process spawn).
+            self.nic._spin_payload(state, self.pkt)
+            self._after_deposit()
+            return
+        if mode == "drop":
+            state.dropped_bytes += self.pkt.payload_len
+            self._after_deposit()
+            return
+        if mode == "undecided":
+            # The header handler is still running: no payload may be
+            # handled or deposited before it ends.
+            state.header_done.callbacks.append(self._deposit)
+            return
+        # "baseline" and "proceed" both take the plain deposit below.
+        nic = self.nic
+        pkt = self.pkt
+        msg = pkt.message
         if msg.kind in ("put", "atomic"):
             if state.match is None or not state.match.matched:
                 state.dropped_bytes += pkt.payload_len
-                pt = nic._pt_for(msg)
-                if pt is not None:
-                    pt.record_drop(pkt.payload_len)
+                nic._pt_for(msg).record_drop(pkt.payload_len)
                 self._after_deposit()
                 return
             entry = state.match.entry
@@ -192,7 +220,7 @@ class _RxChain:
         self.data = pkt.payload
         self.nbytes = pkt.payload_len
         dma = nic.machine.dma
-        self.t0 = now
+        self.t0 = nic.env._now
         self.bw = dma._bw_ps(self.nbytes)
         self.req = req = dma.mem_port.request()
         if req.callbacks is None:
@@ -388,25 +416,15 @@ class BaselineNIC:
         # delivery order.
         _RxChain(self, pkt)._begin()
 
-    def _rx_tail(self, state: _MessageRx, pkt: Packet) -> Generator:
-        """Everything after matching: deposit, bookkeeping, completion."""
-        yield from self._deliver_packet(state, pkt)
-        state.packets_seen += 1
-        if state.complete and not state.finished:
-            state.finished = True
-            yield from self._finish_message(state)
-            del self._rx[state.message.msg_id]
-
     def _finish_tail(self, state: _MessageRx) -> Generator:
         """Completion continuation for the RX chain."""
         yield from self._finish_message(state)
         del self._rx[state.message.msg_id]
 
-    def _hook_tail(self, hook: Generator, state: _MessageRx,
-                   pkt: Packet) -> Generator:
-        """Header-handler continuation for the RX chain."""
+    def _hook_tail(self, hook: Generator, chain: _RxChain) -> Generator:
+        """Header-handler continuation: run the hook, then deposit."""
         yield from hook
-        yield from self._rx_tail(state, pkt)
+        chain._deposit()
 
     def _match_message(self, msg: Message) -> Optional[MatchResult]:
         """Route the header through Portals matching (None for ack/reply)."""
@@ -430,53 +448,10 @@ class BaselineNIC:
         """Hook for subclasses (sPIN header handlers).
 
         Called synchronously right after matching; return a generator to
-        run timed header work, or None when the message takes the plain
-        deposit path (which lets the RX chain stay inline).
+        run timed header work (the header packet is deposited when it
+        ends), or None to deposit the header packet right away.
         """
         return None
-
-    # -- per-packet data movement ----------------------------------------
-    def _deliver_packet(self, state: _MessageRx, pkt: Packet) -> Generator:
-        msg = state.message
-        if msg.kind in ("put", "atomic"):
-            if state.match is None or not state.match.matched:
-                state.dropped_bytes += pkt.payload_len
-                pt = self._pt_for(msg)
-                if pt is not None:
-                    pt.record_drop(pkt.payload_len)
-                return
-            yield from self._deposit_put_packet(state, pkt)
-        elif msg.kind == "reply":
-            yield from self._deposit_reply_packet(state, pkt)
-        elif msg.kind in ("get", "ack"):
-            state.bytes_seen += pkt.payload_len  # header-only messages
-        else:
-            raise ValueError(f"unknown message kind {msg.kind!r}")
-
-    def _deposit_put_packet(self, state: _MessageRx, pkt: Packet) -> Generator:
-        entry = state.match.entry
-        offset = entry.start + state.match.deposit_offset + pkt.payload_offset
-        completion = yield from self.machine.dma.write(
-            offset if self.machine.memory is not None else 0,
-            pkt.payload,
-            nbytes=pkt.payload_len,
-            label=f"rx m{state.message.msg_id}",
-        )
-        state.dma_events.append(completion)
-        state.bytes_seen += pkt.payload_len
-
-    def _deposit_reply_packet(self, state: _MessageRx, pkt: Packet) -> Generator:
-        msg = state.message
-        md = self.machine.ni.mds.get(msg.meta.get("md_id", -1))
-        base = (md.start if md else 0) + msg.meta.get("reply_offset", 0)
-        completion = yield from self.machine.dma.write(
-            base + pkt.payload_offset,
-            pkt.payload,
-            nbytes=pkt.payload_len,
-            label=f"rx-reply m{msg.msg_id}",
-        )
-        state.dma_events.append(completion)
-        state.bytes_seen += pkt.payload_len
 
     # -- message completion ---------------------------------------------------
     def _finish_message(self, state: _MessageRx) -> Generator:
@@ -607,7 +582,5 @@ class BaselineNIC:
 
     # -- misc ------------------------------------------------------------------
     def _pt_for(self, msg: Message):
-        try:
-            return self.machine.ni.pt(msg.meta.get("pt_index", 0))
-        except Exception:
-            return None
+        """The portal table entry ``ni.match`` resolved for ``msg``."""
+        return self.machine.ni.pt(msg.meta.get("pt_index", 0))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.des import ns
 from repro.machine import Cluster, integrated_config, discrete_config
-from repro.machine.nic import BaselineNIC
 from repro.network import UniformLatency
 from repro.portals import (
     EventKind,
@@ -14,6 +13,7 @@ from repro.portals import (
     ME_OP_GET,
     ME_OP_PUT,
     MemoryDescriptor,
+    PortalsError,
 )
 
 
@@ -121,30 +121,12 @@ class TestPut:
         assert ct.success == 1
         assert ct.bytes == 512
 
-    def test_subclass_mode_routes_every_packet_to_its_deliver(self):
-        """A NIC subclass with its own ``state.extra["mode"]`` sees every
-        packet in ``_deliver_packet``, header and payload alike."""
-        seen = []
-
-        class CountingNIC(BaselineNIC):
-            def _header_hook(self, state, pkt):
-                state.extra["mode"] = "counting"
-
-                def hook():
-                    yield self.env.timeout(0)
-                return hook()
-
-            def _deliver_packet(self, state, pkt):
-                seen.append(pkt.seq)
-                yield from super()._deliver_packet(state, pkt)
-
-        cluster = two_node_cluster(nic_factory=CountingNIC)
+    def test_put_to_unallocated_portal_index_raises(self):
+        cluster = two_node_cluster()
         env = cluster.env
-        src, dst = cluster[0], cluster[1]
-        dst.post_me(0, MatchEntry(match_bits=4, length=1 << 16))
-        env.process(src.host_put(1, 3 * 4096, match_bits=4))
-        env.run()
-        assert seen == [0, 1, 2]
+        env.process(cluster[0].host_put(1, 128, match_bits=1, pt_index=7))
+        with pytest.raises(PortalsError, match="portal index 7 not allocated"):
+            env.run()
 
 
 class TestGet:
