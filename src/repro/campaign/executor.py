@@ -18,8 +18,6 @@ Guarantees:
 from __future__ import annotations
 
 import importlib.util
-import multiprocessing
-import multiprocessing.connection
 import random
 import sys
 import time
@@ -142,6 +140,9 @@ def _execute_job(payload: tuple) -> dict:
 
 
 def _mp_context():
+    # Imported here, not at module scope: a serial run never needs it.
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -226,6 +227,8 @@ def _run_bounded_parallel(ctx, payloads: Sequence[tuple], workers: int,
     Completion order feeds ``done`` as results arrive (like
     ``imap_unordered``); per-job retries re-enqueue the same payload.
     """
+    from multiprocessing.connection import wait
+
     queue = [(payload, 0) for payload in reversed(payloads)]
     live: list = []  # (proc, parent_conn, payload, attempt, deadline)
     try:
@@ -240,7 +243,7 @@ def _run_bounded_parallel(ctx, payloads: Sequence[tuple], workers: int,
                 live.append(
                     (proc, parent, payload, attempt,
                      time.monotonic() + timeout_s))
-            multiprocessing.connection.wait(
+            wait(
                 [parent for _, parent, _, _, _ in live],
                 timeout=max(0.0, min(d for *_, d in live) - time.monotonic()),
             )

@@ -8,8 +8,11 @@ name, validate and coerce parameter values against the declared
 :class:`Param` specs, and expand grids into jobs.
 
 This module deliberately imports nothing from the rest of ``repro`` so the
-experiment modules can import it without cycles; :func:`load_builtins`
-pulls in the known scenario-providing modules on demand.
+experiment modules can import it without cycles.  :data:`SCENARIO_MODULES`
+indexes each built-in scenario by the module that registers it, so
+:func:`get_scenario` imports just that one module: a cold
+``campaign run`` loads only the scenario it runs.  :func:`load_builtins`
+(and with it :func:`all_scenarios`) imports every indexed module.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 __all__ = [
     "Param",
+    "SCENARIO_MODULES",
     "Scenario",
     "ScenarioError",
     "all_scenarios",
@@ -29,24 +33,36 @@ __all__ = [
     "scenario",
 ]
 
-#: Modules that register scenarios at import time.  Kept as strings so the
-#: registry stays import-cycle free; extend this list when a new module
-#: grows a scenario.
-BUILTIN_SCENARIO_MODULES = (
-    "repro.experiments.pingpong",
-    "repro.experiments.accumulate",
-    "repro.experiments.broadcast",
-    "repro.experiments.datatype_recv",
-    "repro.experiments.raid_update",
-    "repro.experiments.littles_law",
-    "repro.storage.spc",
-    "repro.apps.simulator",
-    "repro.usecases.kvstore",
-    "repro.sim.scenarios",
-    "repro.sim.serving",
-    "repro.faults.scenarios",
-    "repro.traffic.scenarios",
-)
+#: Built-in scenario name -> the module whose import registers it.  Kept
+#: as strings so the registry stays import-cycle free; add an entry when a
+#: module grows a scenario (``tests/campaign/test_registry.py`` checks the
+#: index against what each module really registers).
+SCENARIO_MODULES: dict[str, str] = {
+    "pingpong": "repro.experiments.pingpong",
+    "accumulate": "repro.experiments.accumulate",
+    "broadcast": "repro.experiments.broadcast",
+    "datatype_recv": "repro.experiments.datatype_recv",
+    "raid_update": "repro.experiments.raid_update",
+    "linerate": "repro.experiments.littles_law",
+    "spc_replay": "repro.storage.spc",
+    "apps_matching": "repro.apps.simulator",
+    "kvstore_insert": "repro.usecases.kvstore",
+    "pingpong_open_load": "repro.sim.scenarios",
+    "kvstore_load": "repro.sim.scenarios",
+    "mixed_tenants": "repro.sim.scenarios",
+    "incast_load": "repro.sim.scenarios",
+    "permutation_traffic": "repro.sim.scenarios",
+    "congested_tenants": "repro.sim.scenarios",
+    "kv_serving": "repro.sim.serving",
+    "tenant_overload": "repro.sim.serving",
+    "lossy_pingpong": "repro.faults.scenarios",
+    "link_flap_recovery": "repro.faults.scenarios",
+    "ftbcast_faults": "repro.faults.scenarios",
+    "incast_transient": "repro.traffic.scenarios",
+    "bursting_load": "repro.traffic.scenarios",
+    "burst_under_flap": "repro.traffic.scenarios",
+    "replay_trace": "repro.traffic.scenarios",
+}
 
 
 class ScenarioError(Exception):
@@ -194,13 +210,24 @@ def load_builtins() -> None:
     global _BUILTINS_LOADED
     if _BUILTINS_LOADED:
         return
-    for modname in BUILTIN_SCENARIO_MODULES:
+    for modname in SCENARIO_MODULES.values():
         importlib.import_module(modname)
     _BUILTINS_LOADED = True
 
 
 def get_scenario(name: str) -> Scenario:
-    load_builtins()
+    """The scenario registered as ``name``.
+
+    A built-in name imports only its own module, even when the name is
+    already registered, so a clash with a user scenario of the same name
+    still raises; any other name loads every built-in first, so an
+    unknown name lists them all.
+    """
+    modname = SCENARIO_MODULES.get(name)
+    if modname is None:
+        load_builtins()
+    else:
+        importlib.import_module(modname)
     try:
         return _REGISTRY[name]
     except KeyError:

@@ -16,26 +16,31 @@ module               reproduces
 ===================  =======================================
 """
 
-from repro.experiments.pingpong import pingpong_half_rtt_ns, PINGPONG_MODES
-from repro.experiments.accumulate import accumulate_completion_ns
-from repro.experiments.littles_law import (
-    arrival_rate_mmps,
-    hpus_needed,
-    max_handler_time_ns,
-)
-from repro.experiments.broadcast import broadcast_latency_ns, BCAST_MODES
-from repro.experiments.datatype_recv import datatype_recv_completion_ns
-from repro.experiments.raid_update import raid_update_completion_ns
+import importlib
 
-__all__ = [
-    "BCAST_MODES",
-    "PINGPONG_MODES",
-    "accumulate_completion_ns",
-    "arrival_rate_mmps",
-    "broadcast_latency_ns",
-    "datatype_recv_completion_ns",
-    "hpus_needed",
-    "max_handler_time_ns",
-    "pingpong_half_rtt_ns",
-    "raid_update_completion_ns",
-]
+#: Re-exported name -> the submodule that defines it.  Loaded on first
+#: access, so importing one experiment (a campaign job runs one) does not
+#: import, and register the scenarios of, all of them.
+_EXPORTS = {
+    "BCAST_MODES": "broadcast",
+    "PINGPONG_MODES": "pingpong",
+    "accumulate_completion_ns": "accumulate",
+    "arrival_rate_mmps": "littles_law",
+    "broadcast_latency_ns": "broadcast",
+    "datatype_recv_completion_ns": "datatype_recv",
+    "hpus_needed": "littles_law",
+    "max_handler_time_ns": "littles_law",
+    "pingpong_half_rtt_ns": "pingpong",
+    "raid_update_completion_ns": "raid_update",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        modname = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{modname}"), name)

@@ -77,7 +77,10 @@ def make_pingpong_handlers(streaming: bool = True, pong_match_bits: int = PONG_T
     when False (store mode), single-packet messages are buffered in HPU
     memory and answered from the device by the completion handler, larger
     messages take the default deposit path and are answered with a put from
-    host memory.
+    host memory.  In store mode a ping that carries bytes is echoed byte for
+    byte from HPU memory; a modelled (payload-free) ping writes nothing
+    there and gets a payload-free pong of the same length, cycles and
+    timing, so it never touches the HPU arena (nor loads numpy).
     """
 
     def header_handler(ctx, h):
@@ -106,11 +109,12 @@ def make_pingpong_handlers(streaming: bool = True, pong_match_bits: int = PONG_T
                 nbytes=p.payload_len,
             )
             return ReturnCode.SUCCESS
-        # Store mode (single packet): copy into HPU memory.
+        # Store mode (single packet): copy into HPU memory.  A modelled
+        # (payload-free) packet is charged the same copy but stores nothing.
         ctx.charge_per_byte(p.payload_len, COPY_CYCLES_PER_BYTE)
         if p.payload is not None:
             ctx.state.write(64, p.payload)
-        info["stored_len"] = p.payload_len
+            info["stored_len"] = p.payload_len
         return ReturnCode.SUCCESS
 
     def completion_handler(ctx, dropped_bytes, flow_control_triggered):
@@ -120,11 +124,9 @@ def make_pingpong_handlers(streaming: bool = True, pong_match_bits: int = PONG_T
             return ReturnCode.SUCCESS
         mtu = ctx.nic.machine.ni.limits.max_payload_size
         if info["length"] <= mtu:
-            data = (
-                ctx.state.read(64, info["stored_len"])
-                if "stored_len" in info and ctx.state.size >= 64
-                else None
-            )
+            stored_len = info.pop("stored_len", None)
+            data = (ctx.state.read(64, stored_len)
+                    if stored_len is not None else None)
             yield from ctx.put_from_device(
                 data,
                 target=info["source"],

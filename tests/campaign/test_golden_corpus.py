@@ -16,7 +16,7 @@ import hashlib
 import json
 
 from repro.campaign.executor import run_one
-from repro.campaign.registry import BUILTIN_SCENARIO_MODULES, all_scenarios
+from repro.campaign.registry import SCENARIO_MODULES, all_scenarios
 
 GOLDEN = {
     "accumulate": "e2443a85f6fa736f5936781011f48e1160dabe517698309a45ed6b7de5ef4b8b",
@@ -50,7 +50,7 @@ def _builtin_scenarios() -> dict:
     # Test modules may register helper scenarios into the same registry;
     # the corpus covers exactly the scenarios the package ships.
     return {name: sc for name, sc in all_scenarios().items()
-            if sc.fn.__module__ in BUILTIN_SCENARIO_MODULES}
+            if sc.fn.__module__ in SCENARIO_MODULES.values()}
 
 
 def test_corpus_covers_every_builtin_scenario():

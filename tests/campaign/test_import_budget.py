@@ -1,5 +1,6 @@
-"""Import budget: the simulation path never loads networkx, and loads
-numpy only in runs that move payload bytes.
+"""Import budget: the simulation path never loads networkx, loads numpy
+only in runs that move payload bytes, and a cold serial ``campaign run``
+loads only its own scenario module and no multiprocessing.
 
 networkx is a test-side dependency (the fat-tree cross-validation and the
 SSSP ground truth) and is not in ``install_requires``.  numpy is a hard
@@ -22,11 +23,12 @@ import repro
 SRC = Path(repro.__file__).resolve().parents[1]
 
 
-#: Built-in scenarios whose ``--tiny`` run loads numpy: pingpong's
-#: spin_store mode reads HPU memory bytes, the KV store inserts real
-#: key/value bytes, the RAID update writes and verifies real blocks, and
-#: the SPC replay draws its synthetic trace from numpy's generator.
-NUMPY_SCENARIOS = ("pingpong", "kvstore_insert", "raid_update", "spc_replay")
+#: Built-in scenarios whose ``--tiny`` run loads numpy: the KV store
+#: inserts real key/value bytes, the RAID update writes and verifies real
+#: blocks, and the SPC replay draws its synthetic trace from numpy's
+#: generator.  pingpong's spin_store mode is not here: a payload-free ping
+#: gets a payload-free pong and never touches the HPU byte arena.
+NUMPY_SCENARIOS = ("kvstore_insert", "raid_update", "spc_replay")
 
 
 def _run(script: str, cwd=None) -> subprocess.CompletedProcess:
@@ -57,11 +59,11 @@ def test_no_builtin_tiny_run_imports_networkx():
         import sys
         import repro.campaign as campaign
         from repro.campaign.executor import run_one
-        from repro.campaign.registry import BUILTIN_SCENARIO_MODULES
+        from repro.campaign.registry import SCENARIO_MODULES
         campaign.load_builtins()
         assert "networkx" not in sys.modules, "load_builtins"
         for name, sc in campaign.all_scenarios().items():
-            if sc.fn.__module__ in BUILTIN_SCENARIO_MODULES:
+            if sc.fn.__module__ in SCENARIO_MODULES.values():
                 run_one(name, dict(sc.tiny))
                 assert "networkx" not in sys.modules, name
     """)
@@ -73,11 +75,11 @@ def test_only_byte_moving_tiny_runs_import_numpy():
         import sys
         import repro.campaign as campaign
         from repro.campaign.executor import run_one
-        from repro.campaign.registry import BUILTIN_SCENARIO_MODULES
+        from repro.campaign.registry import SCENARIO_MODULES
         campaign.load_builtins()
         assert "numpy" not in sys.modules, "load_builtins"
         builtins = [name for name, sc in campaign.all_scenarios().items()
-                    if sc.fn.__module__ in BUILTIN_SCENARIO_MODULES]
+                    if sc.fn.__module__ in SCENARIO_MODULES.values()]
         allowed = {NUMPY_SCENARIOS!r}
         assert set(allowed) <= set(builtins), allowed
         for name in builtins:
@@ -86,6 +88,23 @@ def test_only_byte_moving_tiny_runs_import_numpy():
                 assert "numpy" not in sys.modules, name
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_executed_cli_run_loads_only_its_scenario_module(tmp_path):
+    """A cold serial ``campaign run pingpong`` imports one scenario module,
+    and neither numpy (the job moves no bytes) nor multiprocessing."""
+    proc = _run("""
+        import sys
+        from repro.campaign.__main__ import main
+        from repro.campaign.registry import SCENARIO_MODULES
+        assert main(["run", "pingpong", "--tiny", "--no-cache"]) == 0
+        loaded = sorted(set(sys.modules) & set(SCENARIO_MODULES.values()))
+        assert loaded == ["repro.experiments.pingpong"], loaded
+        assert "numpy" not in sys.modules, "numpy"
+        assert "multiprocessing" not in sys.modules, "multiprocessing"
+    """, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 executed, 0 cached" in proc.stdout
 
 
 def test_cached_cli_replay_does_not_import_numpy(tmp_path):

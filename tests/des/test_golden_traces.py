@@ -27,7 +27,7 @@ import pytest
 
 from repro.campaign.executor import run_observed
 from repro.campaign.planner import plan_points
-from repro.campaign.registry import BUILTIN_SCENARIO_MODULES, all_scenarios
+from repro.campaign.registry import SCENARIO_MODULES, all_scenarios
 from repro.des.engine import Environment
 from repro.des.trace import Timeline
 from repro.experiments.accumulate import accumulate_completion_ns
@@ -105,7 +105,7 @@ CONTENTION_TRACES = {
 
 def _builtin_scenarios() -> dict:
     return {name: sc for name, sc in all_scenarios().items()
-            if sc.fn.__module__ in BUILTIN_SCENARIO_MODULES}
+            if sc.fn.__module__ in SCENARIO_MODULES.values()}
 
 
 def _captured_trace(monkeypatch, name: str, tiny: dict):

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import PtlHPUAllocMem, SpinNIC, spin_me
 from repro.handlers_library import (
+    PONG_TAG,
     binomial_children,
     complex_multiply_bytes,
+    make_pingpong_handlers,
     unpack_vector_reference,
     xor_bytes,
 )
+from repro.machine import Cluster, integrated_config
+from repro.portals.matching import MatchEntry
 
 
 class TestBinomialChildren:
@@ -106,3 +111,43 @@ class TestUnpackReference:
             out[j * stride : j * stride + blocksize] for j in range(count)
         ])
         assert np.array_equal(repacked, packed)
+
+
+class TestPingpongStoreMode:
+    """C.3.1 store mode: the completion handler answers from HPU memory."""
+
+    @staticmethod
+    def _pingpong(payload):
+        """One 64 B store-mode ping: (pong arrival ps, pong bytes, HPU mem)."""
+        cluster = Cluster(2, config=integrated_config(), nic_factory=SpinNIC)
+        origin, target = cluster[0], cluster[1]
+        buf = origin.memory.alloc(64)
+        pong_eq = origin.new_eq()
+        origin.post_me(0, MatchEntry(match_bits=PONG_TAG, start=buf,
+                                     length=64, event_queue=pong_eq))
+        hh, ph, ch = make_pingpong_handlers(streaming=False)
+        mem = PtlHPUAllocMem(target, 8192)
+        target.post_me(0, spin_me(match_bits=1, length=64, header_handler=hh,
+                                  payload_handler=ph, completion_handler=ch,
+                                  hpu_memory=mem))
+
+        def ping():
+            yield from origin.host_put(1, 64, match_bits=1, payload=payload)
+
+        arrived = []
+        pong_eq.on_next(lambda ev: arrived.append(cluster.env.now))
+        cluster.env.process(ping())
+        cluster.run()
+        assert len(arrived) == 1
+        return arrived[0], origin.memory.read(buf, 64), mem
+
+    def test_data_ping_is_echoed_byte_for_byte(self):
+        data = np.arange(64, dtype=np.uint8)
+        _, pong, _ = self._pingpong(data)
+        assert np.array_equal(pong, data)
+
+    def test_payload_free_ping_never_touches_the_hpu_arena(self):
+        t_data, _, _ = self._pingpong(np.arange(64, dtype=np.uint8))
+        t_modelled, _, mem = self._pingpong(None)
+        assert t_modelled == t_data
+        assert "raw" not in vars(mem), "HPU byte arena was allocated"
