@@ -147,8 +147,8 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _attempt_with_retries(payload: tuple, runner: Callable[[tuple], dict],
-                          retries: int, backoff_s: float) -> dict:
+def _attempt_with_retries(payload: tuple, retries: int,
+                          backoff_s: float) -> dict:
     """Run one job, retrying transient failures with exponential backoff.
 
     The payload — and with it the planner-assigned seed and cache key —
@@ -157,7 +157,7 @@ def _attempt_with_retries(payload: tuple, runner: Callable[[tuple], dict],
     """
     for attempt in range(retries + 1):
         try:
-            return runner(payload)
+            return _execute_job(payload)
         except Exception:
             if attempt >= retries:
                 raise
@@ -174,7 +174,7 @@ def _execute_job_retrying(bundle: tuple) -> dict:
     deterministic thanks to the per-attempt RNG reseed.
     """
     payload, retries, backoff_s = bundle
-    return _attempt_with_retries(payload, _execute_job, retries, backoff_s)
+    return _attempt_with_retries(payload, retries, backoff_s)
 
 
 def _subprocess_target(conn, payload: tuple) -> None:  # pragma: no cover
@@ -186,46 +186,19 @@ def _subprocess_target(conn, payload: tuple) -> None:  # pragma: no cover
         conn.close()
 
 
-def _execute_job_bounded(ctx, payload: tuple, timeout_s: float) -> dict:
-    """Run one job in a dedicated subprocess with a wall-clock budget.
-
-    Pool workers cannot be killed mid-job without poisoning the pool, so
-    a bounded job gets its own process: on timeout it is terminated and
-    :class:`JobTimeoutError` raised (which a retry budget then absorbs).
-    """
-    parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_subprocess_target, args=(child, payload))
-    proc.start()
-    child.close()
-    try:
-        if not parent.poll(timeout_s):
-            proc.terminate()
-            raise JobTimeoutError(
-                f"job {payload[0]} {dict(payload[1])!r} exceeded "
-                f"{timeout_s:g}s"
-            )
-        status, value = parent.recv()
-    except EOFError:
-        raise RuntimeError(
-            f"job subprocess for {payload[0]} died without a result"
-        ) from None
-    finally:
-        proc.join()
-        parent.close()
-    if status != "ok":
-        raise RuntimeError(f"job {payload[0]} failed in subprocess: {value}")
-    return value
-
-
 def _run_bounded_parallel(ctx, payloads: Sequence[tuple], workers: int,
                           timeout_s: float, retries: int, backoff_s: float,
                           done: Callable[[dict], None]) -> None:
     """Process-per-job scheduler: up to ``workers`` bounded jobs at once.
 
-    Used only when a job timeout is requested — each job needs a process
-    the scheduler may terminate, which a shared Pool cannot offer.
-    Completion order feeds ``done`` as results arrive (like
-    ``imap_unordered``); per-job retries re-enqueue the same payload.
+    Used whenever a job timeout is requested, serial runs included
+    (``workers=1``) — each job needs a process the scheduler may
+    terminate, which a shared Pool cannot offer.  A job past its budget is
+    terminated and, once its retries are spent, raises
+    :class:`JobTimeoutError`.  Jobs start in planner order; completion
+    order feeds ``done`` as results arrive (like ``imap_unordered``).  A
+    failed job re-enqueues the same payload and starts next, so with one
+    worker a retried job runs before any later one.
     """
     from multiprocessing.connection import wait
 
@@ -365,7 +338,7 @@ def run_jobs(
              f"{rec['scenario']} {rec['params']}")
 
     if payloads:
-        if workers > 1 and job_timeout_s is not None:
+        if job_timeout_s is not None:
             _run_bounded_parallel(_mp_context(), payloads, workers,
                                   job_timeout_s, retries, retry_backoff_s,
                                   record)
@@ -376,13 +349,8 @@ def run_jobs(
                 for rec in pool.imap_unordered(_execute_job_retrying, bundles):
                     record(rec)
         else:
-            if job_timeout_s is None:
-                runner = _execute_job
-            else:
-                ctx = _mp_context()
-                runner = lambda p: _execute_job_bounded(ctx, p, job_timeout_s)
             for payload in payloads:
-                record(_attempt_with_retries(payload, runner, retries,
+                record(_attempt_with_retries(payload, retries,
                                              retry_backoff_s))
 
     return CampaignResult(

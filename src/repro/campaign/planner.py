@@ -65,10 +65,6 @@ class Job:
     seed: int
     key: str
 
-    @property
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
     def describe(self) -> str:
         ps = " ".join(f"{k}={v}" for k, v in self.params)
         return f"{self.scenario}({ps})"

@@ -6,6 +6,12 @@ Python generators that ``yield`` events (timeouts, resource requests, other
 processes); the :class:`~repro.des.engine.Environment` steps the global event
 queue in timestamp order.
 
+The kernel carries only what the model calls (see
+:mod:`repro.des.engine`); contention points are in
+:mod:`repro.des.resources`, where a :class:`~repro.des.resources.Server` is
+a capacity-1 :class:`~repro.des.resources.Resource` that also keeps
+service accounting.
+
 Time is kept internally in integer **picoseconds** so that long simulations
 never accumulate floating-point drift; the helpers :func:`~repro.des.engine.ns`
 and :func:`~repro.des.engine.us` convert from the nanosecond/microsecond
@@ -17,7 +23,6 @@ from repro.des.engine import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -34,7 +39,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "RateLimiter",
     "Resource",

@@ -1,9 +1,14 @@
 """Core discrete-event engine: environment, events, processes.
 
 The design follows SimPy's proven architecture (events with callback lists,
-generator-based processes) but is intentionally minimal: only the features the
-sPIN simulation needs are implemented, and the whole kernel is small enough to
-be audited in one sitting.
+generator-based processes) but carries only what the sPIN model calls:
+events that succeed or fail, timeouts, generator processes (started by an
+URGENT initialize event, or inline with :meth:`Environment.process_inline`),
+``AllOf``/``AnyOf``, and fire-and-forget callbacks
+(:meth:`Environment.schedule_fn` / :meth:`Environment.schedule_callback`).
+There are no interrupts and no active-process tracking: a process runs until
+its generator returns or raises.  The whole kernel is small enough to be
+audited in one sitting.
 
 Units
 -----
@@ -36,7 +41,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",
@@ -75,17 +79,6 @@ def ps_to_us(value: int) -> float:
 
 class SimulationError(Exception):
     """Raised for misuse of the kernel (double-trigger, bad yields, ...)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The interrupting cause is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 def _coerce_delay(delay: Any) -> int:
@@ -141,13 +134,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The event's payload (or the exception for failed events)."""
         if self._value is _PENDING:
@@ -176,14 +162,6 @@ class Event:
         self._value = exception
         self.env._schedule(self, PRIORITY_NORMAL, 0)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (triggered) event."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self._defused = True
-            self.fail(event._value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending"
@@ -259,10 +237,11 @@ class Process(Event):
 
     The generator yields :class:`Event` instances; each yield suspends the
     process until the event fires, at which point the event's value is sent
-    back into the generator (or its exception thrown).
+    back into the generator (or its exception thrown).  Nothing else can
+    wake a process: it runs until its generator returns or raises.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -279,7 +258,6 @@ class Process(Event):
         self._ok = True
         self._defused = False
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         if _inline:
             # Advance the body synchronously, as if it ran inline at the
@@ -295,43 +273,10 @@ class Process(Event):
         else:
             Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        waiting on an event detaches it from that event.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        if self._target is self:
-            raise SimulationError("a process cannot interrupt itself")
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env._schedule(interrupt_event, PRIORITY_URGENT, 0)
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's outcome."""
         env = self.env
-        target = self._target
-        if target is not None and target is not event:
-            # We were interrupted while waiting for _target; detach so the
-            # stale wakeup does not resume us twice.
-            if target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        self._target = None
         while True:
-            env._active_process = self
             try:
                 if event._ok:
                     result = self._generator.send(event._value)
@@ -339,25 +284,21 @@ class Process(Event):
                     event._defused = True
                     result = self._generator.throw(event._value)
             except StopIteration as stop:
-                env._active_process = None
                 self._ok = True
                 self._value = stop.value
                 env._seq = seq = env._seq + 1
                 heappush(env._heap, (env._now, PRIORITY_NORMAL, seq, self))
                 return
             except BaseException as exc:
-                env._active_process = None
                 self._ok = False
                 self._value = exc
                 self._defused = False
                 env._schedule(self, PRIORITY_NORMAL, 0)
                 return
-            env._active_process = None
 
             callbacks = result.callbacks if isinstance(result, Event) else None
             if callbacks is not None:
                 callbacks.append(self._resume)
-                self._target = result
                 return
             if isinstance(result, Event):
                 # Already processed (synchronous grant / ready store item /
@@ -448,7 +389,6 @@ class Environment:
     def __init__(self, initial_time: int = 0):
         self._now: int = initial_time
         self._seq: int = 0
-        self._active_process: Optional[Process] = None
         self._heap: list = []
         if _METER is not None:
             _METER.register(self)
@@ -471,7 +411,6 @@ class Environment:
             _METER.flush(self._seq)
         self._now = 0
         self._seq = 0
-        self._active_process = None
 
     @property
     def events_scheduled(self) -> int:
@@ -489,11 +428,6 @@ class Environment:
         """Current simulation time in nanoseconds."""
         return self._now / 1_000
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped (None outside process code)."""
-        return self._active_process
-
     # -- event factories -------------------------------------------------
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
@@ -502,10 +436,6 @@ class Environment:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` picoseconds from now."""
         return Timeout(self, delay, value)
-
-    def timeout_ns(self, delay_ns: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay_ns`` nanoseconds from now."""
-        return Timeout(self, ns(delay_ns), value)
 
     def process(
         self, generator: Generator[Any, Any, Any], name: Optional[str] = None

@@ -4,8 +4,9 @@ These model the contention points of the simulated system:
 
 * :class:`Resource` — a counted semaphore with FIFO queueing (CPU cores,
   HPU execution contexts).
-* :class:`Server` — a serializing bandwidth port: callers occupy it for a
-  service duration (host memory port, PCIe port, NIC wire).
+* :class:`Server` — a serializing bandwidth port: a capacity-1
+  :class:`Resource` that callers occupy for a service duration and that
+  tallies the service it gave (host memory port, PCIe port, NIC wire).
 * :class:`Store` — a FIFO item queue with blocking get (work queues).
 * :class:`RateLimiter` — enforces a minimum spacing between grants (the LogGP
   ``g`` message-rate limit).
@@ -17,7 +18,6 @@ from collections import deque
 from typing import Any, Generator, Optional
 
 from repro.des.engine import (
-    PRIORITY_URGENT,
     Environment,
     Event,
     SimulationError,
@@ -95,41 +95,27 @@ class Resource:
             self._users.add(nxt)
             nxt.succeed()
 
-    def cancel(self, req: Request) -> None:
-        """Withdraw an ungranted request (no-op if already granted)."""
-        try:
-            self._waiting.remove(req)
-        except ValueError:
-            pass
-
     def reset(self) -> None:
         """Forget all holders/waiters (cluster reuse; see Session pooling)."""
         self._users.clear()
         self._waiting.clear()
 
-    def use(self, duration: int) -> Generator[Any, Any, None]:
-        """Sub-process helper: hold the resource for ``duration`` ps."""
-        req = self.request()
-        yield req
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release(req)
 
-
-class Server:
-    """A serializing service port (bandwidth pipe).
+class Server(Resource):
+    """A serializing service port (bandwidth pipe): a capacity-1 resource.
 
     ``serve(duration)`` queues FIFO behind earlier work and occupies the port
     for ``duration`` picoseconds.  This is how the host memory port
     (150 GiB/s), the PCIe port (64 GiB/s) and the NIC wire (G per byte) are
-    modelled: time-per-byte multiplied out by the caller.
+    modelled: time-per-byte multiplied out by the caller.  Callback chains
+    use the inherited :meth:`~Resource.request` / :meth:`~Resource.release`
+    pair directly and do their own service accounting (``busy_time``,
+    ``jobs_served``); both ways give the same kernel events.
     """
 
     def __init__(self, env: Environment, name: str = "server"):
-        self.env = env
+        super().__init__(env)
         self.name = name
-        self._resource = Resource(env, capacity=1)
         self.busy_time: int = 0
         self.jobs_served: int = 0
 
@@ -137,31 +123,14 @@ class Server:
         """Process helper: wait for the port, then hold it for ``duration``."""
         if duration < 0:
             raise SimulationError(f"negative service duration {duration}")
-        req = self._resource.request()
+        req = self.request()
         yield req
         try:
             yield Timeout(self.env, duration)
             self.busy_time += duration
             self.jobs_served += 1
         finally:
-            self._resource.release(req)
-
-    def release(self, req) -> None:
-        """Release a raw :meth:`request`, granting any queued waiter."""
-        self._resource.release(req)
-
-    def request(self):
-        """Issue a raw FIFO request on the underlying resource.
-
-        Fast-path callback chains use the raw request/release pair (with
-        their own service accounting) instead of the :meth:`serve`
-        generator; both produce identical kernel event sequences.
-        """
-        return self._resource.request()
-
-    @property
-    def queue_length(self) -> int:
-        return self._resource.queue_length
+            self.release(req)
 
     def utilization(self, elapsed: Optional[int] = None) -> float:
         """Fraction of wall-clock the port was busy."""
@@ -171,19 +140,20 @@ class Server:
         return self.busy_time / elapsed
 
     def reset(self) -> None:
-        """Zero the service accounting (cluster reuse)."""
+        """Forget holders/waiters and zero the accounting (cluster reuse)."""
+        super().reset()
         self.busy_time = 0
         self.jobs_served = 0
-        self._resource.reset()
 
 
 class ServeChain:
     """Callback mirror of ``env.process(server.serve(duration))``.
 
-    The server's real FIFO request is issued synchronously at construction
+    ``server.request()`` is issued synchronously at construction
     (construction order is FIFO order), then a fire-and-forget callback
-    runs at the serve-timeout position — no process, no generator.  Used by
-    the callback chains for fire-and-forget port occupancy (e.g. background
+    runs at the serve-timeout position, does the service accounting and
+    calls ``server.release()`` — no process, no generator.  Used by the
+    callback chains for fire-and-forget port occupancy (e.g. background
     DMA staging).
     ``then``, when given, runs right after the service accounting, at the
     position generator code following the serve would run.
@@ -198,7 +168,7 @@ class ServeChain:
         self.server = server
         self.duration = duration
         self.then = then
-        self.req = req = server._resource.request()
+        self.req = req = server.request()
         if req.callbacks is None:
             self._granted(req)
         else:
@@ -211,7 +181,7 @@ class ServeChain:
         server = self.server
         server.busy_time += self.duration
         server.jobs_served += 1
-        server._resource.release(self.req)
+        server.release(self.req)
         self.req = None
         if self.then is not None:
             self.then()
@@ -247,18 +217,12 @@ class Store:
             self._getters.append(event)
         return event
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking pop: (True, item) or (False, None)."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
 
 class RateLimiter:
     """Enforces a minimum inter-grant gap (LogGP ``g``).
 
-    Each ``wait_turn()`` call returns an event that fires no earlier than
-    ``gap`` picoseconds after the previous grant.  Grants are FIFO.
+    Each :meth:`claim` takes the next grant slot, no earlier than ``gap``
+    picoseconds after the previous grant.  Grants are FIFO in claim order.
     """
 
     def __init__(self, env: Environment, gap: int):
@@ -271,21 +235,13 @@ class RateLimiter:
     def claim(self) -> int:
         """Synchronously take the next grant slot; returns its absolute time.
 
-        The event-free core of :meth:`wait_turn`: callback chains call this
-        and schedule their own continuation at the returned time.
+        No event is created: callback chains call this and schedule their
+        own continuation at the returned time.
         """
         grant_at = max(self.env._now, self._next_free)
         self._next_free = grant_at + self.gap
         return grant_at
 
-    def wait_turn(self) -> Event:
-        return self.env.timeout(self.claim() - self.env._now)
-
     def reset(self) -> None:
         """Forget the grant history (cluster reuse)."""
         self._next_free = 0
-
-    @property
-    def next_free(self) -> int:
-        """Earliest time the next grant could occur."""
-        return max(self.env.now, self._next_free)

@@ -64,22 +64,14 @@ class Span:
 class Timeline:
     """Collects spans; cheap to disable (``enabled=False`` drops everything).
 
-    Per-lane busy totals and the global extent are maintained incrementally
-    on :meth:`record`, so :meth:`busy_time` and :meth:`extent` are O(1) —
-    they were profiled hot (full rescans of ``spans``) in trace-enabled SPC
-    runs.  Out-of-band edits to ``spans`` are detected by *length change
-    only*: appends/removals trigger a rebuild on the next read, but a
-    same-length in-place replacement is invisible — call :meth:`_retally`
-    after such edits (``canonical_bytes``/``digest`` read the list directly
-    and are always exact).
+    ``spans`` is the only state: :meth:`record` appends one span, and
+    :meth:`busy_time` and :meth:`extent` scan the list when asked (no
+    simulation code asks; tests and tools do).  Spans appended to or edited
+    in ``spans`` directly are therefore always counted.
     """
 
     enabled: bool = True
     spans: list[Span] = field(default_factory=list)
-    _busy: dict = field(default_factory=dict, repr=False, compare=False)
-    _t0: int = field(default=0, repr=False, compare=False)
-    _t1: int = field(default=0, repr=False, compare=False)
-    _tallied: int = field(default=0, repr=False, compare=False)
 
     #: Observer probe slot (see :mod:`repro.obs`): an attached observer
     #: sets an *instance* attribute ``(rank, lane, start, end, label) ->
@@ -91,37 +83,9 @@ class Timeline:
     def record(self, rank: int, lane: str, start: int, end: int, label: str = "") -> None:
         if not self.enabled:
             return
-        if self._tallied != len(self.spans):
-            self._retally()
         self.spans.append(Span(rank, lane, start, end, label))
-        self._tally(rank, lane, start, end)
         if self._probe is not None:
             self._probe(rank, lane, start, end, label)
-
-    def _tally(self, rank: int, lane: str, start: int, end: int) -> None:
-        key = (rank, lane)
-        busy = self._busy
-        busy[key] = busy.get(key, 0) + (end - start)
-        if self._tallied == 0:
-            self._t0, self._t1 = start, end
-        else:
-            if start < self._t0:
-                self._t0 = start
-            if end > self._t1:
-                self._t1 = end
-        self._tallied += 1
-
-    def _retally(self) -> None:
-        """Rebuild the incremental totals after out-of-band span edits.
-
-        Rebuilds in place — ``self.spans`` is never rebound, so external
-        aliases to the list stay live.
-        """
-        self._busy = {}
-        self._tallied = 0
-        self._t0 = self._t1 = 0
-        for s in self.spans:
-            self._tally(s.rank, s.lane, s.start, s.end)
 
     def lanes(self, rank: Optional[int] = None) -> list[tuple[int, str]]:
         """Distinct (rank, lane) pairs in first-appearance order."""
@@ -133,28 +97,22 @@ class Timeline:
 
     def busy_time(self, rank: int, lane: str) -> int:
         """Total busy picoseconds on a lane (spans assumed non-overlapping)."""
-        if self._tallied != len(self.spans):
-            self._retally()
-        return self._busy.get((rank, lane), 0)
+        return sum(s.end - s.start for s in self.spans
+                   if s.rank == rank and s.lane == lane)
 
     def clear(self) -> None:
         """Drop all recorded spans (keeps the enabled flag).
 
-        ``spans`` is cleared in place so external references stay valid,
-        mirroring :meth:`_retally`'s contract.
+        ``spans`` is cleared in place so external references stay valid.
         """
         self.spans.clear()
-        self._busy.clear()
-        self._t0 = self._t1 = 0
-        self._tallied = 0
 
     def extent(self) -> tuple[int, int]:
         """(min start, max end) over all spans; (0, 0) if empty."""
-        if not self.spans:
+        spans = self.spans
+        if not spans:
             return (0, 0)
-        if self._tallied != len(self.spans):
-            self._retally()
-        return (self._t0, self._t1)
+        return (min(s.start for s in spans), max(s.end for s in spans))
 
     def canonical_bytes(self) -> bytes:
         """Byte-exact encoding of the recorded spans, in recording order.

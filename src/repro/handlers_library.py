@@ -15,6 +15,10 @@ ddtvec        per-block offset arithmetic (≈20 instr per block)      —
 raid (xor)    word XOR: ld + ld + xor + st per 4 B                   1.0
 ============  =====================================================  ===========
 
+The RAID-5 handlers (C.3.5) need per-message state and stripe locks, so
+they live with their cluster in :mod:`repro.storage.raid`; this module
+keeps their XOR cost and :func:`xor_bytes`.
+
 Notes on intentional deviations from the appendix listings (documented per
 DESIGN.md's substitution rules):
 
@@ -22,10 +26,10 @@ DESIGN.md's substitution rules):
   memory; we add a non-blocking deposit so every rank actually receives the
   data (the deposit overlaps forwarding and does not change the critical
   path shape).
-* ``raid primary``: the listing DMA-writes the XOR *diff* over the stored
-  block; a storage node must store the **new** data, so we write ``data``
-  and send the diff to the parity node — the traffic and timing are
-  identical.
+* ``raid primary`` (in :mod:`repro.storage.raid`): the listing DMA-writes
+  the XOR *diff* over the stored block; a storage node must store the
+  **new** data, so we write ``data`` and send the diff to the parity
+  node — the traffic and timing are identical.
 * complex multiply: the listing's imaginary part has a sign typo; we use
   the correct complex product (verified against numpy).
 """
@@ -44,13 +48,10 @@ __all__ = [
     "XOR_CYCLES_PER_BYTE",
     "COPY_CYCLES_PER_BYTE",
     "DDT_BLOCK_CYCLES",
-    "PARITY_TAG",
     "make_accumulate_handlers",
     "make_bcast_handlers",
     "make_ddtvec_handlers",
     "make_pingpong_handlers",
-    "make_raid_parity_handlers",
-    "make_raid_primary_handlers",
 ]
 
 #: Complex multiply-accumulate: ~12 instructions per 8-byte complex pair.
@@ -62,7 +63,6 @@ COPY_CYCLES_PER_BYTE = 0.5
 #: Per-block bookkeeping in the vector-datatype handler.
 DDT_BLOCK_CYCLES = 20
 
-PARITY_TAG = 53
 PONG_TAG = 10
 
 
@@ -318,74 +318,3 @@ def unpack_vector_reference(
 def xor_bytes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = min(a.size, b.size)
     return a[:n] ^ b[:n]
-
-
-def make_raid_primary_handlers(parity_node: int, ack_match_bits: int = 30):
-    """Data-server handlers (C.3.5): apply the write, forward the diff."""
-
-    def header_handler(ctx, h):
-        ctx.charge(4)
-        ctx.state.vars["source"] = h.source
-        ctx.state.vars["client"] = h.hdr_data
-        return ReturnCode.PROCESS_DATA
-
-    def payload_handler(ctx, p):
-        old = yield from ctx.dma_from_host_b(p.payload_offset, p.payload_len)
-        ctx.charge_per_byte(p.payload_len, XOR_CYCLES_PER_BYTE)
-        if old is not None and p.payload is not None:
-            new = p.payload
-            diff = xor_bytes(old, new)
-        else:
-            new = None
-            diff = None
-        # Store the *new* data locally (see module docstring).
-        yield from ctx.dma_to_host_b(new, p.payload_offset, nbytes=p.payload_len)
-        # Send the diff to the parity node, tagged with the message offset so
-        # the parity node applies it at the same block position.
-        yield from ctx.put_from_device(
-            diff,
-            target=parity_node,
-            match_bits=PARITY_TAG,
-            nbytes=p.payload_len,
-            hdr_data=ctx.state.vars["client"],
-            user_hdr={"block_offset": ctx.message.offset + p.payload_offset},
-        )
-        return ReturnCode.SUCCESS
-
-    return header_handler, payload_handler, None
-
-
-def make_raid_parity_handlers(ack_match_bits: int = 30):
-    """Parity-server handlers (C.3.5): fold the diff, ACK from the device."""
-
-    def header_handler(ctx, h):
-        ctx.charge(6)
-        ctx.state.vars["source"] = h.source
-        ctx.state.vars["client"] = h.hdr_data
-        user = h.user_hdr or {}
-        ctx.state.vars["block_offset"] = user.get("block_offset", h.offset)
-        return ReturnCode.PROCESS_DATA
-
-    def payload_handler(ctx, p):
-        base = ctx.state.vars["block_offset"]
-        old = yield from ctx.dma_from_host_b(base + p.payload_offset, p.payload_len)
-        ctx.charge_per_byte(p.payload_len, XOR_CYCLES_PER_BYTE)
-        if old is not None and p.payload is not None:
-            folded = xor_bytes(old, p.payload)
-        else:
-            folded = None
-        yield from ctx.dma_to_host_b(folded, base + p.payload_offset,
-                                     nbytes=p.payload_len)
-        return ReturnCode.SUCCESS
-
-    def completion_handler(ctx, dropped_bytes, flow_control_triggered):
-        ctx.charge(4)
-        # ACK straight from the NIC to the data server's client session.
-        yield from ctx.put_from_device(
-            None, target=ctx.state.vars["source"],
-            match_bits=ack_match_bits, nbytes=1,
-            hdr_data=ctx.state.vars["client"],
-        )
-        return ReturnCode.SUCCESS
-
-    return header_handler, payload_handler, completion_handler

@@ -107,12 +107,6 @@ class DMAEngine:
         self.env.schedule_fn(self.latency_ps, land)
         return completed
 
-    def write_blocking(self, offset: int, data, nbytes: Optional[int] = None,
-                       label: str = "dma-w") -> Generator:
-        """Write and wait for durability (2-sided: bandwidth + L)."""
-        completed = yield from self.write(offset, data, nbytes, label)
-        yield completed
-
     # -- reads --------------------------------------------------------------
     def read(
         self, offset: int, nbytes: int, label: str = "dma-r"

@@ -309,12 +309,6 @@ class CongestionFabric(Fabric):
             del self._routes[msg.msg_id]  # last packet: route no longer needed
         return route
 
-    def route_nodes(self, src: int, dst: int, msg_id: int) -> list[tuple]:
-        """The node path a message with ``msg_id`` takes (introspection)."""
-        if self._fattree:
-            return fattree_path(self.topology, src, dst, msg_id, self._routing)
-        return crossbar_path(src, dst)
-
     # -- the per-link walk -------------------------------------------------
     def _dispatch(self, pkt: Packet, latency: int) -> None:
         route = self._route_for(pkt)

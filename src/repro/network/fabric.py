@@ -263,10 +263,6 @@ class Fabric:
         """Payload packets that arrived after their header was lost."""
         return sum(nic.rx_orphan_packets for nic in self.attached_nics())
 
-    def tx_busy_ps(self, nid: int) -> int:
-        """Total serialization time spent by node ``nid``'s wire."""
-        return self._wire[nid].busy_time if nid in self._wire else 0
-
     def wire_stats(self, elapsed_ps: Optional[int] = None) -> dict[str, dict]:
         """Per-node egress-wire accounting, keyed by ``"wire[nid]"``.
 

@@ -131,11 +131,6 @@ class Observer:
     def elapsed_ps(self) -> int:
         return self.session.env.now
 
-    def occ_notes(self, elapsed_ps: Optional[int] = None) -> dict:
-        """The ``occ_*`` scalars for :meth:`Metrics.observe_occupancy`."""
-        elapsed = self.elapsed_ps if elapsed_ps is None else elapsed_ps
-        return self.occupancy.category_busy_fracs(elapsed)
-
     # -- exports -----------------------------------------------------------
     def export_trace(self, path=None) -> str:
         """Perfetto trace JSON for this session; written to ``path`` if

@@ -4,8 +4,8 @@ Fed one span at a time by an :class:`~repro.obs.observer.Observer`, the
 accumulator maintains per-(rank, lane) busy totals, span counts, and
 power-of-two span-duration histograms — all O(1) per span, no sample
 lists — so a million-span trace costs the same per-resource memory as a
-ten-span one.  Busy totals are the *same integers* the timeline tallies
-(every recorded span flows through both), so a report's busy fraction
+ten-span one.  Busy totals are the *same integers* the timeline's spans
+sum to (every recorded span flows through both), so a report's busy fraction
 matches :meth:`repro.des.trace.Timeline.busy_time` divided by the
 elapsed time exactly.
 """

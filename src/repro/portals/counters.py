@@ -62,9 +62,5 @@ class Counter:
             _, _, callback = heapq.heappop(self._watchers)
             callback()
 
-    @property
-    def pending_watchers(self) -> int:
-        return len(self._watchers)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.name} ok={self.success} fail={self.failure}>"

@@ -46,13 +46,6 @@ class Datatype:
         raise NotImplementedError
 
     # -- derived operations ---------------------------------------------
-    def block_table(self) -> np.ndarray:
-        """(nblocks, 2) array of [offset, length] — the iovec expansion."""
-        import numpy as np
-
-        table = np.array(list(self.blocks()), dtype=np.int64)
-        return table.reshape(-1, 2)
-
     def pack(self, buffer: np.ndarray) -> np.ndarray:
         """Gather this layout from ``buffer`` into a contiguous array."""
         import numpy as np

@@ -102,6 +102,15 @@ class TestJobTimeout:
         res = run_jobs(jobs, job_timeout_s=30.0)
         assert res.records[0]["result"] == {"slept": 0.0}
 
+    def test_serial_timeout_retry_keeps_seed_and_cache_key(self, tmp_path):
+        _, jobs = _flaky_jobs(tmp_path)
+        res = run_jobs(jobs, job_timeout_s=30.0, retries=1,
+                       retry_backoff_s=0.0)
+        rec = res.records[0]
+        assert rec["result"]["attempts"] == 2  # 1 failure + 1 success
+        assert rec["seed"] == jobs[0].seed
+        assert rec["key"] == jobs[0].key
+
     def test_parallel_bounded_scheduler_completes_the_mix(self):
         pts = [{"sleep_s": s} for s in (0.0, 0.15, 0.05, 0.1)]
         jobs = plan_points("_test_sleepy", pts)

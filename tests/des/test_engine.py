@@ -6,7 +6,6 @@ from repro.des import (
     AllOf,
     AnyOf,
     Environment,
-    Interrupt,
     SimulationError,
     ns,
     ps_to_ns,
@@ -50,12 +49,6 @@ class TestTimeout:
         env = Environment()
         with pytest.raises(SimulationError):
             env.timeout(-1)
-
-    def test_timeout_ns_helper(self):
-        env = Environment()
-        env.timeout_ns(2.5)
-        env.run()
-        assert env.now == 2_500
 
     def test_zero_delay_fifo_order(self):
         env = Environment()
@@ -238,59 +231,6 @@ class TestConditions:
 
         p = env.process(proc())
         assert env.run(until=p) == 0
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_with_cause(self):
-        env = Environment()
-
-        def victim():
-            try:
-                yield env.timeout(ns(1000))
-            except Interrupt as exc:
-                return ("interrupted", exc.cause, env.now)
-
-        def attacker(p):
-            yield env.timeout(ns(10))
-            p.interrupt(cause="reason")
-
-        p = env.process(victim())
-        env.process(attacker(p))
-        assert env.run(until=p) == ("interrupted", "reason", ns(10))
-
-    def test_interrupt_detaches_from_target(self):
-        """After an interrupt, the original timeout must not resume the process."""
-        env = Environment()
-        resumes = []
-
-        def victim():
-            try:
-                yield env.timeout(ns(1000))
-            except Interrupt:
-                pass
-            resumes.append(env.now)
-            yield env.timeout(ns(5))
-            resumes.append(env.now)
-
-        def attacker(p):
-            yield env.timeout(ns(10))
-            p.interrupt()
-
-        p = env.process(victim())
-        env.process(attacker(p))
-        env.run()
-        assert resumes == [ns(10), ns(15)]
-
-    def test_interrupt_dead_process_raises(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(1)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
 
 
 class TestRun:

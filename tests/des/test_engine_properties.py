@@ -99,7 +99,7 @@ def test_rate_limiter_minimum_spacing(gap, n):
 
     def sender():
         for _ in range(n):
-            yield limiter.wait_turn()
+            yield env.timeout(limiter.claim() - env.now)
             grants.append(env.now)
 
     env.process(sender())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.des import Environment, SimulationError, ns
-from repro.des.resources import RateLimiter, Resource, Server, Store
+from repro.des.resources import RateLimiter, Resource, ServeChain, Server, Store
 
 
 class TestResource:
@@ -72,36 +72,9 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release(req)
 
-    def test_use_helper(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        done = []
-
-        def worker():
-            yield from res.use(ns(25))
-            done.append(env.now)
-
-        env.process(worker())
-        env.process(worker())
-        env.run()
-        assert done == [ns(25), ns(50)]
-        assert res.count == 0
-
     def test_bad_capacity_rejected(self):
         with pytest.raises(SimulationError):
             Resource(Environment(), capacity=0)
-
-    def test_cancel_waiting_request(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        held = res.request()  # grabs the resource
-        waiting = res.request()
-        assert res.queue_length == 1
-        res.cancel(waiting)
-        assert res.queue_length == 0
-        res.release(held)
-        env.run()
-        assert not waiting.triggered
 
 
 class TestServer:
@@ -144,6 +117,37 @@ class TestServer:
         env.process(job())
         with pytest.raises(SimulationError):
             env.run()
+
+    def test_serve_chain_queues_fifo_with_serve(self):
+        env = Environment()
+        port = Server(env)
+        ends = []
+
+        def job(duration):
+            yield from port.serve(duration)
+            ends.append(("serve", env.now))
+
+        env.process(job(ns(30)))
+        env.run(until=ns(1))
+        ServeChain(port, ns(20), then=lambda: ends.append(("chain", env.now)))
+        env.process(job(ns(10)))
+        env.run()
+        assert ends == [("serve", ns(30)), ("chain", ns(50)), ("serve", ns(60))]
+        assert (port.busy_time, port.jobs_served) == (ns(60), 3)
+        assert port.count == 0 and port.queue_length == 0
+
+    def test_reset_forgets_holders_and_accounting(self):
+        env = Environment()
+        port = Server(env)
+        assert isinstance(port, Resource) and port.capacity == 1
+        ServeChain(port, ns(5))
+        port.request()  # queued behind the chain
+        env.run()
+        assert port.count == 1 and port.busy_time == ns(5)
+        port.reset()
+        assert (port.count, port.queue_length) == (0, 0)
+        assert (port.busy_time, port.jobs_served) == (0, 0)
+        assert port.request().processed  # granted synchronously again
 
 
 class TestStore:
@@ -196,14 +200,6 @@ class TestStore:
         env.run()
         assert got == [("g1", "first"), ("g2", "second")]
 
-    def test_try_get(self):
-        env = Environment()
-        store = Store(env)
-        assert store.try_get() == (False, None)
-        store.put(7)
-        assert store.try_get() == (True, 7)
-        assert len(store) == 0
-
 
 class TestRateLimiter:
     def test_enforces_gap(self):
@@ -213,7 +209,7 @@ class TestRateLimiter:
 
         def sender(n):
             for _ in range(n):
-                yield limiter.wait_turn()
+                yield env.timeout(limiter.claim() - env.now)
                 grants.append(env.now)
 
         env.process(sender(3))
@@ -226,10 +222,10 @@ class TestRateLimiter:
         grants = []
 
         def sender():
-            yield limiter.wait_turn()
+            yield env.timeout(limiter.claim() - env.now)
             grants.append(env.now)
             yield env.timeout(ns(100))  # far beyond the gap
-            yield limiter.wait_turn()
+            yield env.timeout(limiter.claim() - env.now)
             grants.append(env.now)
 
         env.process(sender())

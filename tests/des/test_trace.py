@@ -73,7 +73,7 @@ class TestRender:
 
 
 class TestIncrementalTotals:
-    """busy_time/extent are O(1) via per-lane tallies kept on record()."""
+    """busy_time/extent see every span, direct edits to ``spans`` included."""
 
     def test_busy_time_matches_rescan(self):
         tl = Timeline()

@@ -185,7 +185,8 @@ class TestDMAEngine:
         done = []
 
         def writer():
-            yield from dma.write_blocking(0, np.zeros(1000, np.uint8))
+            completed = yield from dma.write(0, np.zeros(1000, np.uint8))
+            yield completed
             done.append(env.now)
 
         env.process(writer())
