@@ -104,16 +104,15 @@ def fig3a_timelines() -> str:
     host commit vs sPIN streaming's per-packet replies are visible).
     """
     from repro.core.api import PtlHPUAllocMem, spin_me
-    from repro.experiments.common import pair_session
     from repro.experiments.pingpong import PING_TAG
     from repro.handlers_library import PONG_TAG, make_pingpong_handlers
     from repro.machine.config import integrated_config
     from repro.portals.matching import MatchEntry
+    from repro.sim.session import Session
 
     out = []
     for mode, streaming in (("store", False), ("stream", True)):
-        cluster = pair_session(
-            integrated_config(), with_memory=False, trace=True).cluster
+        cluster = Session.pair(integrated_config(), trace=True).cluster
         env = cluster.env
         origin, target = cluster[0], cluster[1]
         pong_eq = origin.new_eq()
@@ -273,10 +272,10 @@ def fig5a_broadcast(config: str = "dis", full: bool = False,
 
 def fig5b_timelines() -> str:
     """Fig 5b: matching-protocol schematics as simulated ASCII timelines."""
-    from repro.experiments.common import pair_session
     from repro.machine.config import integrated_config
     from repro.runtime.msgmatch import MPIEndpoint
     from repro.des import ns
+    from repro.sim.session import Session
 
     out = []
     for case, (protocol, preposted, nbytes) in {
@@ -285,8 +284,7 @@ def fig5b_timelines() -> str:
         "III (small, late recv)": ("spin", False, 1024),
         "IV  (large, late recv)": ("spin", False, 1 << 17),
     }.items():
-        cluster = pair_session(
-            integrated_config(), with_memory=False, trace=True).cluster
+        cluster = Session.pair(integrated_config(), trace=True).cluster
         a = MPIEndpoint(cluster[0], protocol)
         b = MPIEndpoint(cluster[1], protocol)
         env = cluster.env
@@ -541,16 +539,16 @@ def ablate_handler_cost(full: bool = False) -> Table:
     """Ablation: ping-pong latency vs payload-handler cycles/byte."""
     from repro.core.api import PtlHPUAllocMem, spin_me
     from repro.core.handlers import ReturnCode
-    from repro.experiments.common import pair_session
     from repro.machine.config import integrated_config
     from repro.portals.matching import MatchEntry
+    from repro.sim.session import Session
 
     table = Table(
         title="Ablation: 4 KiB one-way latency vs handler cycles/byte (int)",
         columns=["cycles_per_byte", "latency_us"],
     )
     for cpb in (0.0, 0.5, 1.0, 2.0, 4.0):
-        cluster = pair_session(integrated_config(), with_memory=False).cluster
+        cluster = Session.pair(integrated_config()).cluster
         env = cluster.env
         done = []
 

@@ -68,22 +68,6 @@ class HPUPool:
         self.handlers_run = 0
         self.busy_ps = 0
 
-    def reset(self) -> None:
-        """Restore construction state (cluster reuse; see Session pooling).
-
-        Only legal once every handler has finished: a checked-out id or a
-        packet still waiting for an HPU means the pool is mid-flight and a
-        fresh tenant must not inherit it.
-        """
-        if self._checked_out or self._free._getters or self._waiting:
-            raise ValueError("cannot reset an HPU pool with handlers "
-                             "in flight")
-        self._free._items.clear()
-        for i in range(self.count):
-            self._free.put(i)
-        self.handlers_run = 0
-        self.busy_ps = 0
-
     @property
     def waiting(self) -> int:
         """Packets currently queued for an HPU (flow-control signal)."""

@@ -54,20 +54,6 @@ class SpinNIC(BaselineNIC):
         self.flow_control_trips = 0
         self._ph_name = f"ph[{self.rank}]"
 
-    def reset(self) -> None:
-        """Restore construction state (cluster reuse; see Session pooling).
-
-        A built HPU pool is rewound in place (restoring the FIFO id order
-        a fresh pool hands out) rather than rebuilt — pooled sessions that
-        bind handlers every tenancy would otherwise reconstruct it each
-        checkout.  Handler-free tenants still never pay for one.
-        """
-        super().reset()
-        if self._hpus is not None:
-            self._hpus.reset()
-        self.handler_errors.clear()
-        self.flow_control_trips = 0
-
     @property
     def hpus(self) -> HPUPool:
         pool = self._hpus

@@ -393,25 +393,6 @@ class Environment:
         if _METER is not None:
             _METER.register(self)
 
-    def reset(self) -> None:
-        """Rewind a *drained* environment to t=0 for reuse.
-
-        Session pooling (see :mod:`repro.sim.session`) rebinds a finished
-        cluster to a fresh simulation instead of rebuilding it; the kernel
-        side of that is rewinding the clock and the seq counter so the next
-        run's ``(time, priority, seq)`` order is identical to a fresh
-        environment's.  Raises if events are still pending: resetting a live
-        queue would drop them silently.
-        """
-        if self._heap:
-            raise SimulationError("reset() with events still pending")
-        if _METER is not None:
-            # Bank the count before zeroing: a metered window must see
-            # events from environments that are rewound inside it.
-            _METER.flush(self._seq)
-        self._now = 0
-        self._seq = 0
-
     @property
     def events_scheduled(self) -> int:
         """Total kernel events pushed onto the queue so far (perf metric)."""

@@ -95,11 +95,6 @@ class Resource:
             self._users.add(nxt)
             nxt.succeed()
 
-    def reset(self) -> None:
-        """Forget all holders/waiters (cluster reuse; see Session pooling)."""
-        self._users.clear()
-        self._waiting.clear()
-
 
 class Server(Resource):
     """A serializing service port (bandwidth pipe): a capacity-1 resource.
@@ -138,12 +133,6 @@ class Server(Resource):
         if elapsed <= 0:
             return 0.0
         return self.busy_time / elapsed
-
-    def reset(self) -> None:
-        """Forget holders/waiters and zero the accounting (cluster reuse)."""
-        super().reset()
-        self.busy_time = 0
-        self.jobs_served = 0
 
 
 class ServeChain:
@@ -242,6 +231,3 @@ class RateLimiter:
         self._next_free = grant_at + self.gap
         return grant_at
 
-    def reset(self) -> None:
-        """Forget the grant history (cluster reuse)."""
-        self._next_free = 0

@@ -100,13 +100,6 @@ class Timeline:
         return sum(s.end - s.start for s in self.spans
                    if s.rank == rank and s.lane == lane)
 
-    def clear(self) -> None:
-        """Drop all recorded spans (keeps the enabled flag).
-
-        ``spans`` is cleared in place so external references stay valid.
-        """
-        self.spans.clear()
-
     def extent(self) -> tuple[int, int]:
         """(min start, max end) over all spans; (0, 0) if empty."""
         spans = self.spans

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from repro.campaign.registry import Param, scenario as campaign_scenario
 from repro.core.api import PtlHPUAllocMem, spin_me
-from repro.experiments.common import config_by_name, pair_session
 from repro.handlers_library import ACCUMULATE_CYCLES_PER_BYTE, make_accumulate_handlers
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, config_by_name
 from repro.portals.matching import MatchEntry
+from repro.sim.session import Session
 
 __all__ = ["accumulate_completion_ns"]
 
@@ -40,8 +40,7 @@ def accumulate_completion_ns(size: int, mode: str, config: MachineConfig | str,
         config = config_by_name(config)
     if mode not in ("rdma", "spin"):
         raise ValueError(f"unknown mode {mode!r}")
-    sess = pair_session(config, with_memory=False,
-                        trace=timeline_sink is not None)
+    sess = Session.pair(config, trace=timeline_sink is not None)
     if timeline_sink is not None:
         timeline_sink.append(sess.timeline)
     env = sess.env

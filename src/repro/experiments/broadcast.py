@@ -19,9 +19,8 @@ event, i.e. data durable in host memory).
 from __future__ import annotations
 
 from repro.core.api import PtlHPUAllocMem, spin_me
-from repro.experiments.common import config_by_name
 from repro.handlers_library import binomial_children, make_bcast_handlers
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, config_by_name
 from repro.network.packets import Message
 from repro.portals.matching import MatchEntry
 from repro.sim.session import Session

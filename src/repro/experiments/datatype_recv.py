@@ -17,9 +17,9 @@ A 4 MiB message is unpacked at the destination into a vector layout
 from __future__ import annotations
 
 from repro.core.api import PtlHPUAllocMem, spin_me
-from repro.experiments.common import config_by_name, pair_session
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, config_by_name
 from repro.portals.matching import MatchEntry
+from repro.sim.session import Session
 from repro.handlers_library import make_ddtvec_handlers
 
 __all__ = ["datatype_recv_completion_ns"]
@@ -46,7 +46,7 @@ def datatype_recv_completion_ns(
     if mode not in ("rdma", "spin"):
         raise ValueError(f"unknown mode {mode!r}")
     stride = 2 * blocksize if stride is None else stride
-    sess = pair_session(config, with_memory=False)
+    sess = Session.pair(config)
     env = sess.env
     origin, target = sess[0], sess[1]
     done = env.event()

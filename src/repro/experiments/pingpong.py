@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from repro.campaign.registry import Param, scenario as campaign_scenario
 from repro.core.api import PtlHPUAllocMem, spin_me
-from repro.experiments.common import config_by_name, pair_session
 from repro.handlers_library import PONG_TAG, make_pingpong_handlers
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, config_by_name
 from repro.network.packets import Message
 from repro.portals.matching import MatchEntry
+from repro.sim.session import Session
 
 __all__ = ["PINGPONG_MODES", "pingpong_half_rtt_ns"]
 
@@ -51,8 +51,7 @@ def pingpong_half_rtt_ns(size: int, mode: str, config: MachineConfig | str,
         config = config_by_name(config)
     if mode not in PINGPONG_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    sess = pair_session(config, with_memory=False,
-                        trace=timeline_sink is not None)
+    sess = Session.pair(config, trace=timeline_sink is not None)
     if timeline_sink is not None:
         timeline_sink.append(sess.timeline)
     if noise is not None:
@@ -119,7 +118,7 @@ def pingpong_half_rtt_ns(size: int, mode: str, config: MachineConfig | str,
     origin.host_put_fn(1, size, _discard, match_bits=PING_TAG)
     rtt_ps = sess.run(until=result)
     sess.drain()  # drain remaining events
-    sess.release()
+    sess.close()
     return rtt_ps / 2 / 1000.0
 
 

@@ -17,8 +17,6 @@ path already pays for (or pays nothing for):
 
 All randomness comes from ``random.Random(plan.seed)`` owned here; draws
 occur in kernel-event order, so identical plans replay identically.
-Arming a plan makes the session unpoolable —
-fault state must never leak into a reused cluster.
 """
 
 from __future__ import annotations
@@ -60,10 +58,6 @@ class FaultInjector:
         #: In-flight corrupted packets: id(pkt) → pkt (identity-checked at
         #: delivery; keeping the object alive pins the id).
         self._corrupted: dict[int, object] = {}
-        # A faulted cluster must never re-enter the session reuse pool:
-        # link flags, dispatch wrappers, and dead-source marks would leak
-        # into the next tenant.
-        session._pool_key = None
         self._arm()
 
     # -- introspection ------------------------------------------------------

@@ -91,21 +91,6 @@ class Machine:
         self.nic = nic_factory(env, self)
         fabric.attach(rank, self.nic.on_packet)
 
-    def reset(self) -> None:
-        """Restore construction state (cluster reuse; see Session pooling).
-
-        Pooled clusters are built ``with_memory=False``; a machine that
-        does own a memory arena cannot be handed to a new tenant (stale
-        bytes where a fresh arena guarantees zeros), so reset refuses.
-        """
-        if self.memory is not None:
-            raise ValueError("cannot reset a machine with a host memory arena")
-        self.mem_port.reset()
-        self.cpu.reset()
-        self.ni.reset()
-        self.dma.reset()
-        self.nic.reset()
-
     # -- Portals conveniences --------------------------------------------------
     def new_eq(self, capacity: int = 1 << 16) -> EventQueue:
         return EventQueue(capacity=capacity, name=f"eq[{self.rank}]")
@@ -300,22 +285,6 @@ class Cluster:
         self.fabric.detach(rank)
         self.fabric.mark_dead(rank)
         return machine.nic.reap_stalled()
-
-    def reset(self) -> None:
-        """Rewind the whole system to its just-built state (reuse).
-
-        Equivalent to constructing a fresh cluster with the same spec: the
-        kernel rewinds to t=0 with seq 0, the message-id space restarts
-        (same invariant as construction — one active cluster per process),
-        and every machine and the fabric restore their construction state.
-        Raises if the DES still has pending events.
-        """
-        self.env.reset()
-        reset_msg_ids()
-        self.timeline.clear()
-        for machine in self.machines:
-            machine.reset()
-        self.fabric.reset()
 
     def run(self, until=None):
         return self.env.run(until=until)

@@ -86,17 +86,6 @@ class MachineConfig:
     #: Default host memory arena per process, bytes (numpy-backed).
     host_memory_bytes: int = 16 * 1024 * 1024
 
-    def __hash__(self) -> int:
-        # The dataclass-generated hash recurses through every nested
-        # params dataclass; the session pool hashes configs on each
-        # checkout/release, so memoize it (all parts are frozen).
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.host, self.nic, self.network,
-                      self.host_memory_bytes))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     @property
     def loggp(self) -> LogGPParams:
         return self.network.loggp

@@ -56,11 +56,6 @@ class DMAEngine:
         self.bytes_read = 0
         self.bytes_written = 0
 
-    def reset(self) -> None:
-        """Zero the transfer accounting (cluster reuse)."""
-        self.bytes_read = 0
-        self.bytes_written = 0
-
     def stats(self) -> dict:
         """JSON-ready transfer accounting (telemetry reports)."""
         return {"bytes_read": self.bytes_read,

@@ -101,18 +101,6 @@ class HostCPU:
         self.cores = Resource(env, capacity=params.cores)
         self.busy_ps: int = 0
 
-    def reset(self) -> None:
-        """Restore construction state (cluster reuse).
-
-        The noise model snaps back to the shared no-noise default: pooled
-        clusters are only built with ``noise=None`` (see Session pooling),
-        so scenario code that set a per-CPU noise model mid-run must not
-        leak it into the next tenant.
-        """
-        self.busy_ps = 0
-        self.noise = _NO_NOISE
-        self.cores.reset()
-
     def stats(self, elapsed_ps: Optional[int] = None) -> dict:
         """JSON-ready CPU accounting (telemetry reports).
 

@@ -364,19 +364,6 @@ class BaselineNIC:
         #: dropped upstream by the congestion fabric).
         self.rx_orphan_packets = 0
 
-    def reset(self) -> None:
-        """Restore construction state (cluster reuse; see Session pooling)."""
-        self.match_unit.reset()
-        self._rx.clear()
-        self.messages_received = 0
-        self.messages_sent = 0
-        self.rx_orphan_packets = 0
-        # Drop any instance-level fault/observer hooks back to the class
-        # defaults.
-        self.__dict__.pop("_handler_fault", None)
-        self.__dict__.pop("_obs_msg_probe", None)
-        self.__dict__.pop("_obs_hpu_probe", None)
-
     @property
     def pending_rx(self) -> int:
         """In-flight receiver message states (``_MessageRx`` entries)."""

@@ -130,14 +130,13 @@ class Link:
         self.busy_ps += tx
         return wait
 
-    def utilization(self, elapsed_ps: Optional[int] = None,
-                    now: Optional[int] = None) -> float:
-        elapsed = elapsed_ps if elapsed_ps is not None else now
-        if not elapsed:
+    def utilization(self, elapsed_ps: int) -> float:
+        """Fraction of ``elapsed_ps`` this link spent serializing."""
+        if elapsed_ps <= 0:
             return 0.0
-        return self.busy_ps / elapsed
+        return self.busy_ps / elapsed_ps
 
-    def stats(self, elapsed_ps: Optional[int] = None) -> dict:
+    def stats(self, elapsed_ps: int) -> dict:
         """JSON-ready accounting snapshot for this link."""
         return {
             "packets": self.packets,
@@ -192,22 +191,6 @@ class CongestionFabric(Fabric):
         self._link_faults: dict[str, list] = {}  # pattern → [down, tx_scale]
         #: Link-outage windows applied so far (one per LinkDown firing).
         self.fault_link_down_events = 0
-
-    def reset(self) -> None:
-        """Restore construction state (cluster reuse).
-
-        Links are created lazily, so dropping them wholesale restores the
-        just-built shape; the route cache only ever holds in-flight
-        messages and must be empty by now anyway.
-        """
-        super().reset()
-        self.links.clear()
-        self.packets_dropped_links = 0
-        self._routes.clear()
-        self._link_faults.clear()
-        self.fault_link_down_events = 0
-        # Drop any instance-level observer probe back to the class default.
-        self.__dict__.pop("_link_probe", None)
 
     # -- routing -----------------------------------------------------------
     def _link(self, u: tuple, v: tuple) -> Link:

@@ -178,26 +178,6 @@ class Fabric:
         """
         self._dead_sources.add(nid)
 
-    def reset(self) -> None:
-        """Restore construction state, keeping attachments (cluster reuse).
-
-        Per-node rate limiters and wire servers are rewound so the next
-        tenant's first message sees a fresh ``g`` window and clean
-        accounting; the rx entry points stay attached — the machines are
-        being reused too.
-        """
-        for limiter in self._msg_limiter.values():
-            limiter.reset()
-        for wire in self._wire.values():
-            wire.reset()
-        self.packets_delivered = 0
-        self.messages_injected = 0
-        self.packets_dropped = 0
-        self.fault_packets_lost = 0
-        self.fault_packets_corrupted = 0
-        self.messages_from_dead = 0
-        self._dead_sources.clear()
-
     # -- transmission ----------------------------------------------------------
     def inject(self, message: Message) -> Event:
         """Hand a message to the source NIC's TX pipeline.

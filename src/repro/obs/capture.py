@@ -16,10 +16,9 @@ on the capture for export afterwards::
     cap.export_trace("run.perfetto.json")
     report = cap.build_report(scenario="incast_load")
 
-Forcing ``trace=True`` disqualifies the spec from the session pool, so
-captured runs never collide with pooled, untraced ones; the simulated
-behaviour is still byte-identical (the golden-trace contract pins the
-span stream regardless of whether anyone records it).
+Forcing ``trace=True`` leaves the simulated behaviour byte-identical
+(the golden-trace contract pins the span stream regardless of whether
+anyone records it).
 """
 
 from __future__ import annotations

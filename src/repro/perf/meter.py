@@ -35,30 +35,18 @@ class KernelMeter:
 
     def __init__(self) -> None:
         self._envs: list = []
-        self._flushed: int = 0
         self.events: int = 0
         self.environments: int = 0
         self.wall_s: float = 0.0
         self._t0: float = 0.0
 
     def register(self, env) -> None:
-        """Called by Environment.__init__ while this meter is installed.
+        """Called by ``Environment.__init__`` while this meter is installed.
 
-        Session checkout also registers *reused* (pooled) environments, so
-        a metered window sees events from sessions built before it opened.
-        Idempotent — repeated checkouts of one env register it once.
+        Every session builds its own environment, so each one registers
+        exactly once, at construction.
         """
-        if env not in self._envs:
-            self._envs.append(env)
-
-    def flush(self, count: int) -> None:
-        """Bank events from an environment about to be rewound.
-
-        ``Environment.reset()`` (session reuse) zeroes the scheduled-event
-        counter; the count up to that point is accumulated here so pooling
-        never under-reports a metered window.
-        """
-        self._flushed += count
+        self._envs.append(env)
 
     def __enter__(self) -> "KernelMeter":
         if _engine._METER is not None:
@@ -70,7 +58,7 @@ class KernelMeter:
     def __exit__(self, *exc) -> None:
         self.wall_s = time.perf_counter() - self._t0
         _engine._METER = None
-        self.events = self._flushed + sum(env._seq for env in self._envs)
+        self.events = sum(env._seq for env in self._envs)
         self.environments = len(self._envs)
         self._envs.clear()
 

@@ -96,18 +96,6 @@ class NetworkInterface:
         self.triggered = TriggeredQueue(self.limits.max_triggered_ops)
         self._me_count = 0
 
-    def reset(self) -> None:
-        """Drop all installed state (cluster reuse; see Session pooling).
-
-        Portal table, MDs and armed triggered ops all go — the next tenant
-        re-installs its own.  Id counters are process-global (like fresh
-        construction) and simulation-invisible, so they are left alone.
-        """
-        self.portal_table.clear()
-        self.mds.clear()
-        self.triggered = TriggeredQueue(self.limits.max_triggered_ops)
-        self._me_count = 0
-
     # -- portal table ----------------------------------------------------------
     def pt_alloc(self, index: int, eq: Optional[EventQueue] = None) -> PortalTableEntry:
         if index in self.portal_table:

@@ -13,6 +13,11 @@ programming model:
 * :meth:`Session.run` / :meth:`Session.drain` drive the DES, and the
   session tears down installed channels on :meth:`close`.
 
+Each session is built fresh by its constructor and ends with
+:meth:`Session.close`; a drained cluster is never rewound for reuse, the
+same way the paper's simulator builds each experiment as a new
+simulation.
+
 The façade adds no simulation events of its own: a session-built scenario
 pushes exactly the kernel events the hand-wired equivalent pushed, so the
 golden-trace digests are preserved.
@@ -25,8 +30,7 @@ from typing import Any, Callable, Generator, Optional, Union
 
 from repro.core.channel import Channel, connect as _connect
 from repro.core.nic import SpinNIC
-from repro.des import engine as _engine
-from repro.des.engine import Environment, Event, Process, SimulationError
+from repro.des.engine import Environment, Event, Process
 from repro.des.trace import Timeline
 from repro.machine.cluster import Cluster, Machine
 from repro.machine.config import (
@@ -35,7 +39,6 @@ from repro.machine.config import (
     config_by_name,
 )
 from repro.machine.nic import BaselineNIC
-from repro.network.packets import reset_msg_ids
 from repro.network.topology import FatTree, UniformLatency
 from repro.portals.matching import MatchEntry
 from repro.portals.types import PortalsError
@@ -48,18 +51,6 @@ _NIC_FACTORIES: dict[str, Callable] = {
     "baseline": BaselineNIC,
 }
 
-#: Reusable drained sessions, keyed by :meth:`ClusterSpec.pool_key`.
-#: Microbenchmark sweeps build the same two-node cluster thousands of
-#: times; :meth:`Session.checkout` / :meth:`Session.release` amortize that
-#: construction by rewinding a finished session to its just-built state
-#: (the reset-equivalence tests pin reuse == fresh, trace-digest included).
-_POOL: dict[tuple, list["Session"]] = {}
-
-#: Sessions kept per key — sweeps are serial, so one is typically enough;
-#: a little headroom covers nested scenarios.
-_POOL_DEPTH = 4
-
-
 #: Ambient observability capture (see :mod:`repro.obs.capture`): while a
 #: :class:`~repro.obs.capture.ObsCapture` is active it installs itself
 #: here and every :class:`Session` constructed routes through its
@@ -68,11 +59,6 @@ _POOL_DEPTH = 4
 #: ``repro.des.engine._METER``.  ``None`` (the default) adds nothing to
 #: session construction.
 _OBS_HOOK = None
-
-
-def _pool_clear() -> None:
-    """Drop every pooled session (test isolation)."""
-    _POOL.clear()
 
 
 @dataclass(frozen=True)
@@ -111,31 +97,6 @@ class ClusterSpec:
     link_queue_depth: Optional[int] = None
     routing: Optional[str] = None
     switch_radix: Optional[int] = None
-
-    def pool_key(self) -> Optional[tuple]:
-        """Hashable reuse-pool key, or ``None`` when the spec is unpoolable.
-
-        Only the construction-pure slice of the spec space is pooled: no
-        tracing (a reused timeline must stay byte-identical anyway, but
-        trace runs are rare and cheap to build), no noise model, no host
-        memory arena (a fresh arena guarantees zeroed bytes; a reused one
-        cannot), the contention-free LogGP fabric, and the ``"pair"``
-        topology — topology *objects* are passed verbatim and may carry
-        caller state.  Within that slice a session's identity is exactly
-        ``(nodes, config, nic, latency_ps)``.
-        """
-        if (
-            self.trace
-            or self.noise is not None
-            or self.with_memory
-            or self.fabric != "loggp"
-            or self.topology != "pair"
-            or self.link_queue_depth is not None
-            or self.routing is not None
-            or self.switch_radix is not None
-        ):
-            return None
-        return (self.nodes, self.config, self.nic, self.latency_ps)
 
     def resolve_config(self) -> MachineConfig:
         config = (config_by_name(self.config) if isinstance(self.config, str)
@@ -205,40 +166,12 @@ class Session:
         #: was lost in the network (congestion tail-drop) — keyed by rank.
         self.stalled_rx: dict[int, int] = {}
         self._closed = False
-        self._pool_key: Optional[tuple] = None
         #: The attached observer, if any (see :meth:`attach_observer`).
         self.observer = None
         if hook is not None:
             hook.attach(self)
 
     # -- convenience constructors -----------------------------------------
-    @classmethod
-    def checkout(cls, spec: ClusterSpec) -> "Session":
-        """A session for ``spec`` — pooled when possible, else freshly built.
-
-        A pooled session was rewound by :meth:`release` to exactly its
-        just-built state; the only process-global touch-up needed here is
-        the message-id space, which an unrelated cluster constructed in the
-        meantime may have advanced (construction restarts it too, so reuse
-        and fresh build agree).
-        """
-        # An ambient capture must see every session built under it; the
-        # pool hands back clusters without running __init__, so bypass it.
-        key = spec.pool_key() if _OBS_HOOK is None else None
-        if key is not None:
-            stack = _POOL.get(key)
-            if stack:
-                sess = stack.pop()
-                sess._pool_key = key  # re-armed (cleared while pooled)
-                reset_msg_ids()
-                if _engine._METER is not None:
-                    # A fresh build would register at Environment.__init__;
-                    # reused environments must be visible to the meter too.
-                    _engine._METER.register(sess.env)
-                return sess
-        sess = cls(spec)
-        sess._pool_key = key
-        return sess
     @classmethod
     def pair(cls, config: Union[MachineConfig, str] = "int", nodes: int = 2,
              **overrides: Any) -> "Session":
@@ -309,10 +242,10 @@ class Session:
         """Arm a :class:`~repro.faults.plan.FaultPlan` on this session.
 
         Returns the live :class:`~repro.faults.injector.FaultInjector`
-        (fault accounting, crash list).  Arming makes the session
-        unpoolable: fault state must never leak into a reused cluster.
-        With no plan attached nothing here runs — the default path
-        schedules zero fault events and golden traces stay byte-identical.
+        (fault accounting, crash list).  Fault state lives on this
+        session's own cluster, which is never reused.  With no plan
+        attached nothing here runs — the default path schedules zero fault
+        events and golden traces stay byte-identical.
         """
         from repro.faults.injector import FaultInjector  # avoid cycle
         return FaultInjector(self, plan)
@@ -370,33 +303,6 @@ class Session:
             except PortalsError:
                 pass  # already unlinked by scenario code
         self.channels.clear()
-
-    def release(self) -> None:
-        """Hand the session back to the reuse pool (or just close it).
-
-        Pool entry requires a drained kernel and a clean cluster rewind;
-        anything else — unpoolable spec, pending events, a full pool —
-        degrades to a plain :meth:`close`, so scenarios can call this
-        unconditionally at the end of a measurement.
-        """
-        key = self._pool_key
-        self.close()
-        if key is None:
-            return
-        stack = _POOL.setdefault(key, [])
-        if len(stack) >= _POOL_DEPTH or self.env.peek() is not None:
-            return
-        try:
-            self.cluster.reset()
-        except (SimulationError, ValueError):
-            return
-        self._closed = False
-        self.stalled_rx = {}
-        # Disarm until the next checkout: a stray second release() must
-        # not enter the same object into the pool twice (two tenants
-        # would alias one cluster).
-        self._pool_key = None
-        stack.append(self)
 
     def __enter__(self) -> "Session":
         return self

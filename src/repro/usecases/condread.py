@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Callable, Generator
 
 from repro.core.handlers import ReturnCode
-from repro.experiments.common import pair_session
 from repro.machine.config import MachineConfig, config_by_name
 from repro.portals.matching import MatchEntry
+from repro.sim.session import Session
 
 __all__ = ["ConditionalReader"]
 
@@ -33,7 +33,7 @@ class ConditionalReader:
             config = config_by_name(config)
         self.rows = rows
         self.row_bytes = row_bytes
-        self.session = pair_session(config, with_memory=False)
+        self.session = Session.pair(config)
         self.cluster = self.session.cluster
         self.env = self.session.env
         self.client, self.server = self.session[0], self.session[1]

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.core.handlers import ReturnCode
-from repro.experiments.common import pair_session
 from repro.machine.config import MachineConfig, config_by_name
+from repro.sim.session import Session
 
 __all__ = ["FaultTolerantBroadcast", "binomial_graph_peers"]
 
@@ -45,7 +45,7 @@ class FaultTolerantBroadcast:
         #: protocol has no failure detector, so live ranks keep forwarding
         #: into crashed peers and redundancy alone must carry delivery.
         self.crashed: set[int] = set()
-        self.session = pair_session(config, nprocs=nprocs, with_memory=False)
+        self.session = Session.pair(config, nodes=nprocs)
         self.cluster = self.session.cluster
         self.env = self.session.env
         self.delivered: dict[int, set[int]] = {}   # bcast id → ranks delivered

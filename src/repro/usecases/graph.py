@@ -12,8 +12,8 @@ import math
 from typing import TYPE_CHECKING, Generator
 
 from repro.core.handlers import ReturnCode
-from repro.experiments.common import pair_session
 from repro.machine.config import MachineConfig, config_by_name
+from repro.sim.session import Session
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -32,7 +32,7 @@ class DistributedGraph:
             config = config_by_name(config)
         self.graph = graph
         self.nparts = nparts
-        self.session = pair_session(config, nprocs=nparts, with_memory=False)
+        self.session = Session.pair(config, nodes=nparts)
         self.cluster = self.session.cluster
         self.env = self.session.env
         self.dist: dict = {v: math.inf for v in graph.nodes}

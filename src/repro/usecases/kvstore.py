@@ -14,8 +14,8 @@ import hashlib
 from typing import Generator
 
 from repro.core.handlers import ReturnCode
-from repro.experiments.common import pair_session
 from repro.machine.config import MachineConfig, config_by_name
+from repro.sim.session import Session
 
 __all__ = ["KVStore"]
 
@@ -42,8 +42,7 @@ class KVStore:
         if isinstance(config, str):
             config = config_by_name(config)
         self.nbuckets = nbuckets
-        self.session = pair_session(config, nprocs=nservers + 1,
-                                    with_memory=False)
+        self.session = Session.pair(config, nodes=nservers + 1)
         self.cluster = self.session.cluster
         self.env = self.session.env
         self.client = self.cluster[0]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Generator
 
 from repro.core.handlers import ReturnCode
-from repro.experiments.common import pair_session
 from repro.machine.config import MachineConfig, config_by_name
+from repro.sim.session import Session
 
 __all__ = ["AccessRecord", "TransactionLog"]
 
@@ -37,8 +37,7 @@ class TransactionLog:
     def __init__(self, nclients: int = 2, config: MachineConfig | str = "int"):
         if isinstance(config, str):
             config = config_by_name(config)
-        self.session = pair_session(config, nprocs=nclients + 1,
-                                    with_memory=False)
+        self.session = Session.pair(config, nodes=nclients + 1)
         self.cluster = self.session.cluster
         self.env = self.session.env
         self.server = self.session[nclients]

@@ -107,26 +107,6 @@ def test_peek_interleaved_with_drain():
     assert env.peek() is None
 
 
-def test_reset_rewinds_clock_and_seq():
-    env = E.Environment()
-    env.schedule_fn(123, lambda: None)
-    env.run()
-    assert (env.now, env.events_scheduled) == (123, 1)
-    env.reset()
-    assert (env.now, env.events_scheduled) == (0, 0)
-    # A second run schedules with the same seq numbering as the first.
-    env.schedule_fn(123, lambda: None)
-    env.run()
-    assert (env.now, env.events_scheduled) == (123, 1)
-
-
-def test_reset_refuses_pending_events():
-    env = E.Environment()
-    env.schedule_fn(123, lambda: None)
-    with pytest.raises(E.SimulationError, match="pending"):
-        env.reset()
-
-
 def _drain_all(env):
     env.run()
 
@@ -150,9 +130,9 @@ def _drain_by_step(env):
 def test_fired_payloads_are_not_retained(drain):
     """Regression: a drained queue must not pin the payloads it fired.
 
-    Pooled sessions keep their Environment alive between runs, so any
-    reference the queue kept to a fired callable (and everything its
-    closure holds) would leak for the life of the pool.
+    A caller may keep a finished session (and so its Environment) alive,
+    so any reference the queue kept to a fired callable (and everything
+    its closure holds) would leak for as long as the caller holds it.
     """
     env = E.Environment()
     refs = []
@@ -163,8 +143,5 @@ def test_fired_payloads_are_not_retained(drain):
         env.schedule_fn(delay, payload)
         del payload
     drain(env)
-    gc.collect()
-    assert [ref() for ref in refs] == [None] * len(refs)
-    env.reset()
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)

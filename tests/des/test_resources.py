@@ -136,7 +136,7 @@ class TestServer:
         assert (port.busy_time, port.jobs_served) == (ns(60), 3)
         assert port.count == 0 and port.queue_length == 0
 
-    def test_reset_forgets_holders_and_accounting(self):
+    def test_server_is_a_capacity_one_resource(self):
         env = Environment()
         port = Server(env)
         assert isinstance(port, Resource) and port.capacity == 1
@@ -144,10 +144,6 @@ class TestServer:
         port.request()  # queued behind the chain
         env.run()
         assert port.count == 1 and port.busy_time == ns(5)
-        port.reset()
-        assert (port.count, port.queue_length) == (0, 0)
-        assert (port.busy_time, port.jobs_served) == (0, 0)
-        assert port.request().processed  # granted synchronously again
 
 
 class TestStore:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.des import ns
 from repro.experiments import (
+    PINGPONG_MODES,
     accumulate_completion_ns,
     arrival_rate_mmps,
     broadcast_latency_ns,
@@ -65,6 +66,12 @@ class TestPingPong:
         spin_noisy = pingpong_half_rtt_ns(8, "spin_stream", "int", noise=noise)
         assert rdma_noisy > rdma_quiet
         assert spin_noisy == pytest.approx(spin_quiet, rel=0.01)
+
+    @pytest.mark.parametrize("mode", PINGPONG_MODES)
+    def test_repeated_calls_give_equal_values(self, mode):
+        first = pingpong_half_rtt_ns(64, mode, "int")
+        again = [pingpong_half_rtt_ns(64, mode, "int") for _ in range(3)]
+        assert again == [first] * 3
 
 
 class TestAccumulate:

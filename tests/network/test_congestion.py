@@ -163,7 +163,10 @@ class TestContention:
         for s in stats.values():
             assert s["packets"] == 2
             assert s["drops"] == 0
-            assert 0.0 <= s["utilization"] <= 1.0
+            assert 0.0 < s["utilization"] <= 1.0
+        for link in fabric.links.values():
+            assert link.stats(env.now)["utilization"] == round(
+                link.busy_ps / env.now, 4)
         assert fabric.max_link_utilization(env.now) > 0
 
     def test_detached_destination_counts_packets_dropped(self):

@@ -4,17 +4,17 @@ import pytest
 
 from repro.core.nic import SpinNIC
 from repro.des import ns
-from repro.experiments.common import pair_session
 from repro.machine.config import integrated_config
 from repro.portals.types import ANY_SOURCE
 from repro.runtime import MPIEndpoint
+from repro.sim.session import Session
 
 EAGER = 1024
 LARGE = 1 << 17  # beyond the default eager threshold
 
 
 def make_pair(protocol, **kw):
-    cluster = pair_session(integrated_config(), with_memory=False).cluster
+    cluster = Session.pair(integrated_config()).cluster
     a = MPIEndpoint(cluster[0], protocol, **kw)
     b = MPIEndpoint(cluster[1], protocol, **kw)
     return cluster, a, b

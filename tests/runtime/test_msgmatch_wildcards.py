@@ -7,10 +7,10 @@ protocol removes all three limitations — these tests pin that down.
 
 import pytest
 
-from repro.experiments.common import pair_session
 from repro.machine.config import integrated_config
 from repro.portals.types import ANY_SOURCE
 from repro.runtime import MPIEndpoint
+from repro.sim.session import Session
 
 LARGE = 1 << 17
 
@@ -18,8 +18,7 @@ LARGE = 1 << 17
 class TestWildcardRendezvous:
     def test_any_source_large_recv_completes(self):
         """A wildcard rendezvous receive matches whichever sender arrives."""
-        cluster = pair_session(
-            integrated_config(), nprocs=3, with_memory=False).cluster
+        cluster = Session.pair(integrated_config(), nodes=3).cluster
         env = cluster.env
         eps = [MPIEndpoint(cluster[i], "spin") for i in range(3)]
         done = {}
@@ -44,7 +43,7 @@ class TestWildcardRendezvous:
     def test_sender_state_is_per_message_not_per_peer(self):
         """The sender posts exactly one get descriptor per rendezvous —
         O(1), not the Ω(P) of the triggered-get protocol."""
-        cluster = pair_session(integrated_config(), with_memory=False).cluster
+        cluster = Session.pair(integrated_config()).cluster
         env = cluster.env
         a = MPIEndpoint(cluster[0], "spin")
         b = MPIEndpoint(cluster[1], "spin")
@@ -69,7 +68,7 @@ class TestWildcardRendezvous:
     def test_rendezvous_transfer_no_receiver_cpu(self):
         """Preposted sPIN rendezvous keeps the receiving CPU asleep during
         the transfer (full asynchronous progress)."""
-        cluster = pair_session(integrated_config(), with_memory=False).cluster
+        cluster = Session.pair(integrated_config()).cluster
         env = cluster.env
         a = MPIEndpoint(cluster[0], "spin")
         b = MPIEndpoint(cluster[1], "spin")
