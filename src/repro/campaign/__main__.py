@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.campaign`` — list/run/sweep/resume/merge/perf.
+"""CLI: ``python -m repro.campaign`` — list/run/sweep/resume/merge.
 
 Examples::
 
@@ -191,27 +191,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    from repro.perf.basket import BASKETS, run_baskets
-
-    unknown = [name for name in args.basket if name not in BASKETS]
-    if unknown:
-        print(f"error: unknown basket {unknown[0]!r}; known: "
-              f"{', '.join(BASKETS)}", file=sys.stderr)
-        return 2
-    # With --json, stdout is the machine-readable document — progress and
-    # human-readable lines are suppressed (errors still go to stderr).
-    doc = run_baskets(names=args.basket or None,
-                      progress=None if args.json else print)
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    return 0
-
-
 def _record_manifest(args, scenario: str, grid: dict) -> None:
     append_line(_manifest_path(args), json.dumps({
         "scenario": scenario,
@@ -378,19 +357,6 @@ def main(argv=None) -> int:
                             "python -m repro.obs view FILE)")
     add_reliability_flags(p_run)
     p_run.set_defaults(fn=cmd_run)
-
-    p_perf = sub.add_parser(
-        "perf",
-        help="run the perf basket (kernel events per workload mix; wall "
-             "time and events/sec are informational)")
-    p_perf.add_argument("-b", "--basket", action="append", default=[],
-                        metavar="NAME", help="run only the named basket(s)")
-    p_perf.add_argument("--out", default=None, metavar="FILE",
-                        help="write the measurement document as JSON")
-    p_perf.add_argument("--json", action="store_true",
-                        help="emit the measurement document as JSON on "
-                             "stdout and suppress progress output")
-    p_perf.set_defaults(fn=cmd_perf)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter-grid sweep")
     p_sweep.add_argument("scenario")

@@ -49,7 +49,9 @@ class HostParams:
 
     def cycles_to_ps(self, cycles: float) -> int:
         """Convert a host instruction count to picoseconds (IPC-adjusted)."""
-        return max(0, round(cycles / (self.clock_ghz * self.ipc) * 1_000))
+        if cycles < 0:
+            raise ValueError(f"negative host cycle count {cycles!r}")
+        return round(cycles / (self.clock_ghz * self.ipc) * 1_000)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,9 @@ class NICParams:
 
     def hpu_cycles_to_ps(self, cycles: float) -> int:
         """Convert HPU cycles to picoseconds (IPC = 1 per §4.2)."""
-        return max(0, round(cycles / self.hpu_clock_ghz * 1_000))
+        if cycles < 0:
+            raise ValueError(f"negative HPU cycle count {cycles!r}")
+        return round(cycles / self.hpu_clock_ghz * 1_000)
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ CROSS_POD_LATENCY_PS = NetworkParams().latency_for_hops(5)
 #: Memoized name → config instances.  MachineConfig is frozen (as are its
 #: parts), so handing every caller the same object is safe — and experiment
 #: code resolves "int"/"dis" once per simulated session, which adds up in
-#: construction-heavy perf baskets.
+#: runs that build many short sessions.
 _CONFIG_CACHE: dict = {}
 
 

@@ -3,7 +3,7 @@
 A :class:`KernelMeter` hooks :mod:`repro.des.engine` so every
 :class:`~repro.des.engine.Environment` created while the meter is active
 registers itself; at exit the meter sums each environment's scheduled-event
-counter.  This measures *kernel events per second* without threading the
+counter.  This counts a run's kernel events without threading the
 environment through every scenario API — scenarios keep returning plain
 result dicts.
 
@@ -30,7 +30,7 @@ class KernelMeter:
             run_scenario(...)
         print(meter.events, meter.wall_s, meter.events_per_sec)
 
-    Nested meters raise, so basket items cannot double-count each other.
+    Nested meters raise, so no event is counted by two meters.
     """
 
     def __init__(self) -> None:

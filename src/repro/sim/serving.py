@@ -22,7 +22,7 @@ so the million-client runs fit a fixed RSS budget (asserted in CI via
 ``examples/million_clients.py``).  Determinism contract: all randomness
 flows from ``random.Random(seed)`` / :class:`~repro.sim.zipf.
 ZipfSampler`; reruns give byte-identical ``Timeline.canonical_bytes()``,
-and the golden-trace tests pin each scenario's ``--tiny`` digest.
+and the behaviour contract pins each scenario point's trace digest.
 """
 
 from __future__ import annotations

@@ -2,21 +2,18 @@
 
 Two kinds of check live here:
 
-* **Absolute pins.** Every built-in scenario's ``--tiny`` run is traced
-  under :class:`~repro.obs.ObsCapture`; each captured session's
-  ``Timeline.canonical_bytes()`` is hashed and the per-session sha256
-  digests are folded, in build order, into one sha256 per scenario
-  (``GOLDEN_TRACES``).  The pingpong/accumulate experiments and a
-  randomized raw-fabric contention workload are pinned the same way.  A
-  change that shifts every timestamp by the same amount still moves these
-  digests, which a run-vs-run comparison cannot see.
+* **Absolute pins.** Every built-in scenario's ``--tiny`` trace digest is
+  the ``trace`` field of its point in :data:`CONTRACT`
+  (``tests/test_behaviour_contract.py``), checked here on its own so that
+  a moved trace names its scenario.  The pingpong/accumulate experiments
+  and a randomized raw-fabric contention workload are traced and their
+  ``Timeline.canonical_bytes()`` digests pinned below.
 * **Self-consistency.** Each experiment runs twice in-process with
   identical inputs and must produce the same canonical bytes, and tracing
   must not perturb the simulated result.
 
-A deliberate change to a scenario's simulated timing must update its
-digest here in the same change, alongside the result corpus in
-``tests/campaign/test_golden_corpus.py``.
+A deliberate change to an experiment's simulated timing must update its
+digest here in the same change.
 """
 
 import hashlib
@@ -25,53 +22,19 @@ import random
 
 import pytest
 
-from repro.campaign.executor import run_observed
-from repro.campaign.planner import plan_points
-from repro.campaign.registry import SCENARIO_MODULES, all_scenarios
 from repro.des.engine import Environment
 from repro.des.trace import Timeline
 from repro.experiments.accumulate import accumulate_completion_ns
 from repro.experiments.pingpong import PINGPONG_MODES, pingpong_half_rtt_ns
-from repro.machine import config as config_mod
 from repro.network.fabric import Fabric
 from repro.network.loggp import NetworkParams
 from repro.network.packets import Message
 from repro.network.topology import FatTree
-from repro.obs import ObsCapture
+
+from test_behaviour_contract import CONTRACT, builtin_scenarios, tiny_points
 
 PP_SIZE = 8192
 ACC_SIZE = 16384
-
-#: Folded per-session trace digest of every built-in scenario's ``--tiny``
-#: run (``replay_trace`` builds two sessions, every other traced scenario
-#: one).
-GOLDEN_TRACES = {
-    "accumulate": "34ad7ceb05ecd3ffefd6fe8ff2502dcbe8e4a977a987d92d4cc971ad9b35416c",
-    "broadcast": "87ac602c5b833ff84fe68493b7f43c6b82c7f9fd278855349e018280002cce57",
-    "burst_under_flap": "5febe8231dcca6f3563a7f8cea65fa68d7754dd813064c3ccbeddeaf51ac0284",
-    "bursting_load": "3618af4411607687f020fdb3b9f9e85e35291d69b220b08226c02581f163cacb",
-    "congested_tenants": "a569ea81ef45e31a6f8f1765b86cc164837685de4957e15958e34cbfc5496b85",
-    "datatype_recv": "b687231066913e0442b1c63436a8f17594558c2901d69e2a10e98b01f1b48478",
-    "ftbcast_faults": "0ef3a377639c130ec02fe95bb0026997368e8c04be2fe889b518d143b60ea079",
-    "incast_load": "138b6aaaed7da93e92e8815f4fe9a18d4550fe84826ff7cc0ff3a4d828d499aa",
-    "incast_transient": "0483b594090039a1f684fcf06b9f72d18fb125728a93a7226604242f796f182c",
-    "kv_serving": "b6ce04a8564761ff473dbef380d20a26089acb291f83928c177e493bd619c0f5",
-    "kvstore_insert": "aabd39be4136a6525023edae4a1bc8aae897a816cf5b3e745c229011ae44a1e2",
-    "kvstore_load": "b92b9afd37c8345aa921fb29bc9105eef8a023719bc045463647194f3834538c",
-    "link_flap_recovery": "854706516b41ea8a4c8c45dc20bd6231a22faa15168c9fd1d2e89317f9950369",
-    "lossy_pingpong": "943cba99f891255d3cdf28ce6baa2dc70c03e0455228f850af97af46f63ea50f",
-    "mixed_tenants": "49c677fdb1ebb6c08cdc00830f37935c6ff122e26fd1fcbf10531580d0b4a184",
-    "permutation_traffic": "6121652490c1bd3e982dc185cd152f6bce19b2ea2c663d32bef9ddf11ac514f7",
-    "pingpong": "a8d5443e57facfe0b479dca0986c4765410561e868ec0340a0d3362301ea1f06",
-    "pingpong_open_load": "dedc90af6eeddb8250ed6e82794bea00d0604c3894e0f44dfd4030a4944092d5",
-    "replay_trace": "778b29c9f34d8bb46b9f1b345554f4fd599aa024617559b4d67ff452948ff808",
-    "tenant_overload": "48fc327f4072f32f77c1a0bb16791750d0be3f37df87fc238783f67e64a17b40",
-}
-
-#: Built-in scenarios that build no ``Session`` (closed forms, or clusters
-#: driven below the session layer), so there is no trace to pin.
-UNTRACED_SCENARIOS = frozenset({"apps_matching", "linerate", "raid_update",
-                                "spc_replay"})
 
 #: ``Timeline.digest()`` of the determinism-test runs below.
 PINGPONG_TRACES = {
@@ -103,50 +66,24 @@ CONTENTION_TRACES = {
 }
 
 
-def _builtin_scenarios() -> dict:
-    return {name: sc for name, sc in all_scenarios().items()
-            if sc.fn.__module__ in SCENARIO_MODULES.values()}
-
-
-def _captured_trace(monkeypatch, name: str, tiny: dict):
-    """Run ``name``'s tiny point under capture: (sessions built, digest)."""
-    monkeypatch.setenv("REPRO_CODE_VERSION", "golden-traces")
-    capture = ObsCapture()
-    run_observed(plan_points(name, [tiny]), capture)
-    folded = b"".join(hashlib.sha256(obs.timeline.canonical_bytes()).digest()
-                      for obs in capture.observers)
-    return len(capture.observers), hashlib.sha256(folded).hexdigest()
+#: Built-in scenarios that build no ``Session`` (closed forms, or clusters
+#: driven below the session layer), so there is no trace to pin.
+UNTRACED_SCENARIOS = frozenset({"apps_matching", "linerate", "raid_update",
+                                "spc_replay"})
 
 
 def test_trace_corpus_covers_every_builtin_scenario():
     """A scenario that stops (or starts) tracing fails here by name."""
-    assert not UNTRACED_SCENARIOS & set(GOLDEN_TRACES)
-    assert set(_builtin_scenarios()) == set(GOLDEN_TRACES) | UNTRACED_SCENARIOS
+    untraced = {name for name, point in tiny_points().items()
+                if CONTRACT[point][1] is None}
+    assert untraced == UNTRACED_SCENARIOS
+    assert set(tiny_points()) == builtin_scenarios()
 
 
-def test_tiny_traces_match_golden_digests(monkeypatch):
-    mismatched, traced = [], []
-    for name, sc in sorted(_builtin_scenarios().items()):
-        sessions, digest = _captured_trace(monkeypatch, name, dict(sc.tiny))
-        if sessions:
-            traced.append(name)
-        if sessions and digest != GOLDEN_TRACES.get(name):
-            mismatched.append(name)
+def test_tiny_traces_match_golden_digests(contract_measured):
+    mismatched = [name for name, point in sorted(tiny_points().items())
+                  if contract_measured[point][1] != CONTRACT[point][1]]
     assert not mismatched, f"traces changed: {mismatched}"
-    assert set(traced) == set(GOLDEN_TRACES)
-
-
-def test_uniform_shift_moves_the_pinned_digest(monkeypatch):
-    """One extra picosecond of header matching shifts every later span
-    consistently — a run-vs-run comparison passes, the pin must not."""
-    base = config_mod.config_by_name("int")
-    monkeypatch.setitem(config_mod._CONFIG_CACHE, "int", base.with_nic(
-        header_match_ps=base.nic.header_match_ps + 1))
-    tiny = dict(_builtin_scenarios()["pingpong"].tiny)
-    sessions, digest = _captured_trace(monkeypatch, "pingpong", tiny)
-    assert sessions == 1, "the shifted run built no traced session"
-    assert digest != GOLDEN_TRACES["pingpong"]
-    assert _captured_trace(monkeypatch, "pingpong", tiny) == (1, digest)
 
 
 def _pingpong_run(mode):

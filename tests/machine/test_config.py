@@ -54,3 +54,12 @@ class TestCycleConversion:
         host = HostParams()
         # 2.5 GHz at IPC 2: 1000 instructions = 200 ns
         assert host.cycles_to_ps(1000) == ns(200)
+
+    def test_negative_cycles_rejected(self):
+        # A negative count is a caller bug, not zero time.
+        with pytest.raises(ValueError, match="negative HPU cycle count"):
+            NICParams().hpu_cycles_to_ps(-1)
+        with pytest.raises(ValueError, match="negative host cycle count"):
+            HostParams().cycles_to_ps(-0.5)
+        assert NICParams().hpu_cycles_to_ps(0) == 0
+        assert HostParams().cycles_to_ps(0) == 0

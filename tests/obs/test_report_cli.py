@@ -105,16 +105,6 @@ def test_campaign_run_profile_out_dumps_pstats(tmp_path, capsys):
     assert stats.total_calls > 0
 
 
-def test_campaign_perf_json_emits_machine_readable_doc(capsys):
-    rc = campaign_main([
-        "perf", "--json", "-b", "kernel-ops",
-    ])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert "kernel-ops" in doc["baskets"]
-    assert doc["baskets"]["kernel-ops"]["events_per_sec"] > 0
-
-
 def test_multi_session_report_prefixes_resources():
     from repro.portals.matching import MatchEntry
 
