@@ -4,7 +4,9 @@ This is the reproduction of the paper's full-application experiment
 (§5.1, Table 5c): run the same trace under the CPU-progressed RDMA
 protocol and under sPIN's fully offloaded matching, measure total runtime
 (MPI_Init..MPI_Finalize equivalent) and report communication overhead and
-speedup.
+speedup.  Each run builds its fat tree through
+:meth:`~repro.sim.session.Session.fattree`, so it is traced and observable
+like every other simulation.
 """
 
 from __future__ import annotations
@@ -12,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.goal import Schedule
-from repro.core.nic import SpinNIC
-from repro.machine.cluster import Cluster
-from repro.machine.config import MachineConfig, config_by_name
-from repro.network.topology import FatTree
+from repro.machine.config import MachineConfig
 from repro.runtime.msgmatch import MPIEndpoint
+from repro.sim.session import Session
 
 __all__ = ["AppResult", "matching_speedup", "run_schedule"]
 
@@ -45,26 +45,18 @@ def run_schedule(
     eager_threshold: int = 16384,
 ) -> AppResult:
     """Execute a schedule under one matching protocol."""
-    if isinstance(config, str):
-        config = config_by_name(config)
     nprocs = schedule.nprocs
-    cluster = Cluster(
-        nprocs,
-        config=config,
-        nic_factory=SpinNIC,
-        topology=FatTree(params=config.network, nhosts=max(nprocs, 2)),
-        with_memory=False,
-    )
-    env = cluster.env
+    session = Session.fattree(nprocs, config=config)
+    env = session.env
     endpoints = [
-        MPIEndpoint(cluster[r], protocol, eager_threshold=eager_threshold)
+        MPIEndpoint(session[r], protocol, eager_threshold=eager_threshold)
         for r in range(nprocs)
     ]
     finish_ps = [0] * nprocs
 
     def rank_proc(rank: int):
         ep = endpoints[rank]
-        machine = cluster[rank]
+        machine = session[rank]
         outstanding = []
         for op in schedule.ranks.get(rank, []):
             if op.kind == "calc":
@@ -83,8 +75,9 @@ def run_schedule(
         finish_ps[rank] = env.now
 
     procs = [env.process(rank_proc(r), name=f"app[{r}]") for r in range(nprocs)]
-    env.run(until=env.all_of(procs))
-    cluster.run()
+    with session:
+        session.run(until=env.all_of(procs))
+        session.drain()
 
     total_ps = max(finish_ps) or 1
     comm_fractions = [

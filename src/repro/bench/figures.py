@@ -391,6 +391,7 @@ def fig7b_timeline() -> str:
 
         proc = env.process(client())
         env.run(until=proc)
+        raid.session.close()
         out.append(f"--- RAID-5 write, {mode} protocol ---")
         out.append(render_timeline(raid.cluster.timeline, width=90))
     return "\n".join(out)

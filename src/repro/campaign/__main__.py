@@ -170,6 +170,10 @@ def cmd_run(args) -> int:
                 profiler.dump_stats(args.profile_out)
                 print(f"wrote full profile to {args.profile_out} "
                       f"(inspect with python -m pstats)")
+        if want_obs and not capture.observers:
+            print(f"error: {args.scenario} builds no Session, so there is "
+                  f"nothing to trace", file=sys.stderr)
+            return 2
         if args.trace_out:
             capture.export_trace(args.trace_out)
             print(f"wrote {args.trace_out} (open in https://ui.perfetto.dev)")

@@ -27,6 +27,7 @@ def raid_update_completion_ns(
 
     proc = env.process(client())
     elapsed_ps = env.run(until=proc)
+    raid.session.close()
     return elapsed_ps / 1000.0
 
 

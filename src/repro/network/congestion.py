@@ -153,7 +153,6 @@ class CongestionFabric(Fabric):
 
     Drop-in alternative to :class:`Fabric` (same attach/inject surface,
     same source-side LogGOPS injection pipeline); selected through
-    ``Cluster(..., fabric="congestion")`` /
     ``ClusterSpec(fabric="congestion")``.  Knobs live on
     :class:`~repro.network.loggp.NetworkParams`: ``link_queue_depth``
     (packets buffered per port) and ``routing`` (``"ecmp"``/``"dmodk"``).

@@ -7,9 +7,8 @@
   eager and rendezvous, CPU-progressed (RDMA), NIC-matched (Portals 4),
   and fully offloaded (sPIN handler-issued gets), covering Fig. 5b's
   cases I–IV;
-* :mod:`repro.runtime.collectives` — collective schedules (binomial and
-  double binary trees, recursive doubling) shared by the broadcast
-  experiment and the application traces.
+* :mod:`repro.runtime.collectives` — the recursive-doubling allreduce
+  schedule the application traces use.
 """
 
 from repro.runtime.datatypes import (
@@ -25,11 +24,7 @@ from repro.runtime.datatypes import (
     INT32,
 )
 from repro.runtime.msgmatch import MPIEndpoint, RecvRequest, SendRequest
-from repro.runtime.collectives import (
-    binomial_schedule,
-    double_tree_children,
-    recursive_doubling_rounds,
-)
+from repro.runtime.collectives import recursive_doubling_rounds
 
 __all__ = [
     "BYTE",
@@ -45,7 +40,5 @@ __all__ = [
     "SendRequest",
     "Struct",
     "Vector",
-    "binomial_schedule",
-    "double_tree_children",
     "recursive_doubling_rounds",
 ]

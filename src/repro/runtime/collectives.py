@@ -1,73 +1,15 @@
-"""Collective communication schedules.
+"""Collective communication schedules for the application traces.
 
 The NIC-level broadcast protocols live in
-:mod:`repro.experiments.broadcast`; this module provides the *schedule*
-views shared with the application traces, plus the tree variants §4.4.3
-mentions sPIN supports beyond fixed-function offload (double binary trees,
-pipelines — ref [30]).
+:mod:`repro.experiments.broadcast`; this module provides the allreduce
+schedule :mod:`repro.apps.tracegen` lays its traces out with.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.handlers_library import binomial_children
-
-__all__ = [
-    "binomial_schedule",
-    "double_tree_children",
-    "pipeline_children",
-    "recursive_doubling_rounds",
-]
-
-
-def binomial_schedule(nprocs: int) -> dict[int, list[int]]:
-    """rank → children map of the binomial broadcast tree (root 0)."""
-    return {rank: binomial_children(rank, nprocs) for rank in range(nprocs)}
-
-
-def double_tree_children(rank: int, nprocs: int) -> tuple[list[int], list[int]]:
-    """Children of ``rank`` in the two trees of a double binary tree.
-
-    Each message half travels down one of two complementary binary trees
-    (ref [30]); every non-root node is internal in one tree and a leaf in
-    the other, halving the per-node send load for large messages.
-    Tree A is the standard in-order binary tree over 0..P-1; tree B is its
-    mirror (built over the reversed rank order).
-    """
-
-    def inorder_children(r: int, n: int) -> list[int]:
-        # In-order binary tree: node r covers an interval; children are the
-        # midpoints of the left/right halves.  Simple recursive layout.
-        out = []
-        # Find r's interval by descending from the root.
-        lo, hi = 0, n - 1
-        while True:
-            mid = (lo + hi) // 2
-            if r == mid:
-                break
-            if r < mid:
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        left = (lo, mid - 1)
-        right = (mid + 1, hi)
-        for a, b in (left, right):
-            if a <= b:
-                out.append((a + b) // 2)
-        return out
-
-    if nprocs <= 1:
-        return [], []
-    tree_a = inorder_children(rank, nprocs)
-    mirror = nprocs - 1 - rank
-    tree_b = [nprocs - 1 - c for c in inorder_children(mirror, nprocs)]
-    return tree_a, tree_b
-
-
-def pipeline_children(rank: int, nprocs: int) -> list[int]:
-    """Linear pipeline (chain) — optimal for very large broadcasts."""
-    return [rank + 1] if rank + 1 < nprocs else []
+__all__ = ["recursive_doubling_rounds"]
 
 
 def recursive_doubling_rounds(nprocs: int) -> list[list[tuple[int, int]]]:

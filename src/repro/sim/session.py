@@ -13,6 +13,12 @@ programming model:
 * :meth:`Session.run` / :meth:`Session.drain` drive the DES, and the
   session tears down installed channels on :meth:`close`.
 
+A session is the one place a ``Cluster`` is built: the experiments, the
+use cases, the RAID array (:class:`~repro.storage.raid.RaidCluster`) and
+the application-trace runs (:func:`~repro.apps.simulator.run_schedule`)
+all build through it, so every simulating scenario is traced under a
+capture, observable and fault-injectable.
+
 Each session is built fresh by its constructor and ends with
 :meth:`Session.close`; a drained cluster is never rewound for reuse, the
 same way the paper's simulator builds each experiment as a new

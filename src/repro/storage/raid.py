@@ -22,21 +22,24 @@ Reads: **rdma** models a Lustre-style request served by the server CPU;
 
 Data paths move real bytes; :meth:`RaidCluster.verify` recomputes parity
 with numpy and checks every stored block.
+
+The array builds through :class:`~repro.sim.session.Session` like every
+other simulation, and installs each entry with :meth:`Session.install`:
+runs are traced and observable under a capture, and a
+:class:`~repro.faults.plan.FaultPlan` reaches the array through
+``raid.session.attach_faults``.
 """
 
 from __future__ import annotations
 
 from repro.core.api import PtlHPUAllocMem, spin_me
 from repro.core.handlers import ReturnCode
-from repro.core.nic import SpinNIC
 from repro.des.resources import Resource
 from repro.handlers_library import XOR_CYCLES_PER_BYTE, xor_bytes
-from repro.machine.cluster import Cluster
 from repro.machine.config import MachineConfig
-from repro.network.topology import UniformLatency
-from repro.machine.config import CROSS_POD_LATENCY_PS, config_by_name
 from repro.portals.matching import MatchEntry
 from repro.portals.types import ME_OP_PUT
+from repro.sim.session import Session
 
 __all__ = ["RAID_WRITE_TAG", "RaidCluster"]
 
@@ -59,33 +62,27 @@ class RaidCluster:
         region_bytes: int = 1 << 20,
         with_memory: bool = False,
     ):
-        if isinstance(config, str):
-            config = config_by_name(config)
         if mode not in ("rdma", "spin"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.ndata = ndata
         self.region_bytes = region_bytes
         self.with_memory = with_memory
-        self.cluster = Cluster(
-            ndata + 2,
-            config=config,
-            nic_factory=SpinNIC,
-            topology=UniformLatency(latency=CROSS_POD_LATENCY_PS),
-            with_memory=with_memory,
-        )
-        self.env = self.cluster.env
+        self.session = Session.pair(config, nodes=ndata + 2,
+                                    with_memory=with_memory)
+        self.cluster = self.session.cluster
+        self.env = self.session.env
         self.client = self.cluster[0]
         self.data_nodes = [self.cluster[i + 1] for i in range(ndata)]
         self.parity_node = self.cluster[ndata + 1]
-        self.mtu = config.loggp.mtu
+        self.mtu = self.session.config.loggp.mtu
         # Client-side ACK accounting.
         self.ack_counter = self.client.new_counter("client-acks")
-        self.client.post_me(0, MatchEntry(
+        self.session.install(0, MatchEntry(
             match_bits=CLIENT_ACK_TAG, length=1 << 30, counter=self.ack_counter,
         ))
         self.read_counter = self.client.new_counter("client-reads")
-        self.client.post_me(0, MatchEntry(
+        self.session.install(0, MatchEntry(
             match_bits=READ_DATA_TAG, length=1 << 30, counter=self.read_counter,
             options=ME_OP_PUT,
         ))
@@ -106,24 +103,26 @@ class RaidCluster:
         # Incoming writes/diffs land in a staging area behind the data
         # region (a bounce buffer): the CPU protocol then reads old + new
         # and updates the region — the extra copy RDMA cannot avoid.
+        install = self.session.install
         for node in self.data_nodes:
             eq = node.new_eq()
-            node.post_me(0, MatchEntry(match_bits=RAID_WRITE_TAG,
-                                       start=self.region_bytes,
-                                       length=self.region_bytes, event_queue=eq))
+            install(node.rank, MatchEntry(match_bits=RAID_WRITE_TAG,
+                                          start=self.region_bytes,
+                                          length=self.region_bytes,
+                                          event_queue=eq))
             req = node.new_eq()
-            node.post_me(0, MatchEntry(match_bits=RAID_READ_TAG,
-                                       length=1 << 20, event_queue=req))
+            install(node.rank, MatchEntry(match_bits=RAID_READ_TAG,
+                                          length=1 << 20, event_queue=req))
             ack = node.new_eq()
-            node.post_me(0, MatchEntry(match_bits=SERVER_ACK_TAG, length=16,
-                                       event_queue=ack))
+            install(node.rank, MatchEntry(match_bits=SERVER_ACK_TAG, length=16,
+                                          event_queue=ack))
             self.env.process(self._rdma_data_server(node, eq, ack))
             self.env.process(self._rdma_read_server(node, req))
         # One source-filtered staging area per data server so concurrent
         # diffs never collide in the bounce buffer.
         peq = self.parity_node.new_eq()
         for i, node in enumerate(self.data_nodes):
-            self.parity_node.post_me(0, MatchEntry(
+            install(self.parity_node.rank, MatchEntry(
                 match_bits=PARITY_TAG, source=node.rank,
                 start=self.region_bytes * (1 + i),
                 length=self.region_bytes, event_queue=peq,
@@ -178,20 +177,21 @@ class RaidCluster:
 
     # ------------------------------------------------------------------
     def _setup_spin(self) -> None:
+        install = self.session.install
         parity_rank = self.parity_node.rank
         for node in self.data_nodes:
-            node.post_me(0, spin_me(
+            install(node.rank, spin_me(
                 match_bits=RAID_WRITE_TAG, length=self.region_bytes,
                 header_handler=self._primary_header,
                 payload_handler=self._make_primary_payload(parity_rank),
                 hpu_memory=PtlHPUAllocMem(node, 1024),
             ))
-            node.post_me(0, spin_me(
+            install(node.rank, spin_me(
                 match_bits=RAID_READ_TAG, length=1 << 20,
                 header_handler=self._primary_read_header,
                 hpu_memory=PtlHPUAllocMem(node, 256),
             ))
-            node.post_me(0, spin_me(
+            install(node.rank, spin_me(
                 match_bits=SERVER_ACK_TAG, length=16,
                 header_handler=self._ack_forward_header,
                 hpu_memory=PtlHPUAllocMem(node, 256),
@@ -200,7 +200,7 @@ class RaidCluster:
         # serialize (RMW correctness); different ranges fold in parallel
         # across HPUs.
         stripe_locks: dict[int, Resource] = {}
-        self.parity_node.post_me(0, spin_me(
+        install(parity_rank, spin_me(
             match_bits=PARITY_TAG, length=self.region_bytes,
             header_handler=self._parity_header,
             payload_handler=self._make_parity_payload(stripe_locks, self.mtu),

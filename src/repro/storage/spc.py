@@ -179,6 +179,7 @@ def replay_trace_ns(
 
     proc = env.process(client())
     elapsed_ps = env.run(until=proc)
+    raid.session.close()
     return elapsed_ps / 1000.0
 
 

@@ -66,10 +66,9 @@ CONTENTION_TRACES = {
 }
 
 
-#: Built-in scenarios that build no ``Session`` (closed forms, or clusters
-#: driven below the session layer), so there is no trace to pin.
-UNTRACED_SCENARIOS = frozenset({"apps_matching", "linerate", "raid_update",
-                                "spc_replay"})
+#: Built-in scenarios that build no ``Session`` (closed forms), so there is
+#: no trace to pin.
+UNTRACED_SCENARIOS = frozenset({"linerate"})
 
 
 def test_trace_corpus_covers_every_builtin_scenario():

@@ -89,6 +89,40 @@ def test_campaign_run_exports_trace_and_report(tmp_path, capsys):
     assert doc["counters"]["messages_received"] > 0
 
 
+@pytest.mark.parametrize("scenario", ["spc_replay", "apps_matching"])
+def test_campaign_run_reports_storage_and_app_runs(tmp_path, capsys, scenario):
+    report_path = tmp_path / "report.json"
+    rc = campaign_main([
+        "--campaign-dir", str(tmp_path / ".campaign"),
+        "run", scenario, "--tiny", "--report", str(report_path),
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    assert obs_main(["view", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    table = out.split("occupancy (mean / max busy fraction):")[1]
+    for row in ("hpu", "cpu", "dma"):
+        assert f"\n  {row} " in table
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--report"])
+def test_campaign_run_without_session_exits_cleanly(tmp_path, capsys, flag):
+    # linerate is a closed form: it builds no Session, so an observed run
+    # has nothing to export and says so instead of raising.
+    out_path = tmp_path / "out.json"
+    rc = campaign_main([
+        "--campaign-dir", str(tmp_path / ".campaign"),
+        "run", "linerate", "--tiny", flag, str(out_path),
+    ])
+    assert rc == 2
+    assert not out_path.exists()
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert "linerate" in err_lines[0] and "Session" in err_lines[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_campaign_run_profile_out_dumps_pstats(tmp_path, capsys):
     import pstats
 

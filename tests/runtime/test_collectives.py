@@ -1,58 +1,11 @@
-"""Tests for collective schedule helpers."""
+"""Tests for the recursive-doubling allreduce schedule."""
 
 import math
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.runtime import (
-    binomial_schedule,
-    double_tree_children,
-    recursive_doubling_rounds,
-)
-from repro.runtime.collectives import pipeline_children
-
-
-class TestBinomialSchedule:
-    def test_spans_all_ranks(self):
-        sched = binomial_schedule(16)
-        reached = {0}
-        for rank, children in sched.items():
-            reached.update(children)
-        assert reached == set(range(16))
-
-
-class TestDoubleTree:
-    @given(nprocs=st.integers(min_value=2, max_value=64))
-    def test_both_trees_span(self, nprocs):
-        for tree_index in (0, 1):
-            # Roots: tree A's root is the middle rank; find it as the rank
-            # that no one lists as a child.
-            children_of = {
-                r: double_tree_children(r, nprocs)[tree_index]
-                for r in range(nprocs)
-            }
-            all_children = [c for cs in children_of.values() for c in cs]
-            assert len(all_children) == len(set(all_children)) == nprocs - 1
-            roots = set(range(nprocs)) - set(all_children)
-            assert len(roots) == 1
-
-    def test_load_halving(self):
-        """Non-root nodes are leaves in at least one of the two trees."""
-        nprocs = 31
-        internal_in_both = 0
-        for r in range(nprocs):
-            a, b = double_tree_children(r, nprocs)
-            if a and b:
-                internal_in_both += 1
-        # The double-tree construction keeps dual-internal nodes rare.
-        assert internal_in_both <= nprocs // 2
-
-
-class TestPipeline:
-    def test_chain(self):
-        assert pipeline_children(0, 4) == [1]
-        assert pipeline_children(3, 4) == []
+from repro.runtime import recursive_doubling_rounds
 
 
 class TestRecursiveDoubling:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import raid_update_completion_ns
+from repro.faults import FaultPlan, HandlerFault
 from repro.storage import RaidCluster
 
 
@@ -108,3 +109,32 @@ class TestProtocolShape:
         for mode in ("rdma", "spin"):
             assert raid_update_completion_ns(4096, mode, "dis") > \
                 raid_update_completion_ns(4096, mode, "int")
+
+
+class TestFaults:
+    #: Far beyond a healthy 16 KiB write (a few microseconds): a faulted
+    #: write may never be ACKed, so the run is bounded by time.
+    BOUND_PS = 1_000_000_000
+
+    def _write(self, plan):
+        raid = RaidCluster("spin", "int", region_bytes=64 * 1024,
+                           with_memory=True)
+        with raid.session:
+            inj = raid.session.attach_faults(plan) if plan else None
+            proc = raid.env.process(raid.client_write(16 * 1024))
+            raid.env.run(until=self.BOUND_PS)
+        return raid, inj, proc
+
+    def test_healthy_write_completes_within_the_bound(self):
+        raid, _, proc = self._write(None)
+        assert proc.triggered
+        assert raid.verify()
+
+    def test_handler_fault_plan_reaches_a_data_server(self):
+        data_server = 1
+        raid, inj, proc = self._write(FaultPlan(
+            (HandlerFault(rank=data_server, probability=1.0),), seed=5))
+        assert inj.summary()["handler_faults"] > 0
+        assert raid.cluster[data_server].nic.handler_errors
+        assert not proc.triggered
+        assert not raid.verify()

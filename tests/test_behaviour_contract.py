@@ -53,7 +53,7 @@ CONTRACT = {
         27, 1),
     "apps_matching --tiny": (
         "76259b4b0a2b3256670e89e2477602c6b380f2a3430ed9c5fb4a025f9e385ddd",
-        None,
+        "97c74c0050b8b81afef6a25ae49a4651924e85774a7bc334d7a97863c5c3983e",
         3926, 2),
     "broadcast --tiny": (
         "ae56f8d43754fe5533333281afd69efdbf5b4f095aaa5ba3d87aa6ad4e319450",
@@ -129,7 +129,7 @@ CONTRACT = {
         420, 1),
     "raid_update --tiny": (
         "c5318927bc5ccf9e1629c5e97d59e34d53f8b1be2e312444781458163195891e",
-        None,
+        "d65da2082331369e2e7be1b9dcafb60e460bfa328319e2b334323b26d3ae1490",
         271, 1),
     "replay_trace --tiny": (
         "ee7130bf43747dc7fcfee8eb3847b809747e6ab9696c3d4659ae2732b82bc0c2",
@@ -137,7 +137,7 @@ CONTRACT = {
         854, 2),
     "spc_replay --tiny": (
         "e456079bb4c65e39044714c877eabab27445cb7c93c596d2ced1b12454f5bbb4",
-        None,
+        "d281fa43ac6af4c2c6f0af65d07799df547fe327d769a638c67f15e08676522a",
         1871, 1),
     "tenant_overload --tiny": (
         "3fe919b816fffef89d2b2de9d07729c7bae532cbb6bbd69bd7a7dc40cefc997c",
@@ -186,28 +186,28 @@ CONTRACT = {
     # SPC trace replay over the RAID cluster (deep pipelines, contention).
     "spc_replay nops=60 family=financial mode=rdma": (
         "32b4d6487846e058434a96675597985b5a1d93f274db64277b34941073a9f122",
-        None,
+        "a0db59bba69a6a31002be85dd8eb1af56092c7c3c1bbf6cb8721e97679ca97f4",
         13323, 1),
     "spc_replay nops=60 family=financial mode=spin": (
         "c472d84461633eb10e962ce4a291a8f04320c1d2b6db9accc1ca47b35ccbbfb4",
-        None,
+        "df8a030820d2af498a557dc0250c44f5849a176ad6dd2e6e3c09c1635cc42519",
         14910, 1),
     "spc_replay nops=60 family=websearch mode=rdma": (
         "9f792999210529b3733d95dc5a0df78a14a1f7b93edb44c106a6eeac2f5815dc",
-        None,
+        "e117ce721af8f681ea1f1bd9e365e54c3d3c8dd53c6b43dfec3a222a769e955e",
         3936, 1),
     "spc_replay nops=60 family=websearch mode=spin": (
         "97ab523d925ad5b7cf77dbc3c67d6c362b9791fa3e0031ca0a0cbc9adca0bd4b",
-        None,
+        "1d41f5df0b507e55ef8ab0b0759c28095be75f31c3e93a75bfd007f1f63a62e6",
         3801, 1),
     # Full-application trace matching at 16 ranks.
     "apps_matching nprocs=16 iters=1 app=MILC": (
         "cbb8f889eae7361fb88f82aa110b6c28dda2a2f7d6c11ffc948db71793180d13",
-        None,
+        "7a47b69bff3ef6742aa6a2547adc695b3430dd82832be8b6896f4dd623087849",
         31954, 2),
     "apps_matching nprocs=16 iters=1 app=POP": (
         "ad6ad0862578099ca404b4456dd9f5fa60fe3a921c609e536da4da9cfa3db205",
-        None,
+        "30c7248e07db38aa057e41f6047ef51420683b7a35777680c96b910a17878265",
         5074, 2),
     # Congestion fabric: per-link routed walks, incast and permutations.
     "incast_load fanin=8 count=16 seed=3": (
