@@ -90,10 +90,13 @@ class RaidCluster:
             self._setup_rdma()
         else:
             self._setup_spin()
-        import numpy as np
-
-        # Reference state for verification.
-        self._expected = [np.zeros(region_bytes, np.uint8) for _ in range(ndata)]
+        # Reference state for verify(); only a run that moves bytes has any.
+        if with_memory:
+            import numpy as np
+            self._expected = [np.zeros(region_bytes, np.uint8)
+                              for _ in range(ndata)]
+        else:
+            self._expected = []
         # Cumulative completion bookkeeping (supports concurrent operations).
         self._acks_promised = 0
         self._reads_promised = 0
