@@ -17,9 +17,8 @@ from repro.experiments.datatype_recv import (
     effective_bandwidth_gib,
 )
 from repro.handlers_library import make_ddtvec_handlers, unpack_vector_reference
-from repro.runtime.datatypes import Vector
+from repro.runtime.datatypes import Vector, iovec_state_bytes, vector_state_bytes
 from repro.sim import Session
-from repro.runtime.datatypes import iovec_state_bytes, vector_state_bytes
 
 
 def main() -> None:

@@ -12,7 +12,6 @@ protocol exploits, §5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.des.engine import ns
 
@@ -66,9 +65,6 @@ class Schedule:
     def nprocs(self) -> int:
         return max(self.ranks) + 1 if self.ranks else 0
 
-    def append(self, rank: int, op: Op) -> None:
-        self.ranks.setdefault(rank, []).append(op)
-
     def extend(self, rank: int, ops: list[Op]) -> None:
         self.ranks.setdefault(rank, []).extend(ops)
 
@@ -79,28 +75,6 @@ class Schedule:
             1 for ops in self.ranks.values() for op in ops if op.kind == "send"
         )
 
-    @property
-    def bytes_sent(self) -> int:
-        return sum(
-            op.nbytes for ops in self.ranks.values() for op in ops
-            if op.kind == "send"
-        )
-
     def calc_ps(self, rank: int) -> int:
         return sum(op.duration_ps for op in self.ranks.get(rank, [])
                    if op.kind == "calc")
-
-    def validate(self) -> None:
-        """Sends and receives must pair up exactly (per peer, tag, size)."""
-        pending: dict[tuple, int] = {}
-        for rank, ops in self.ranks.items():
-            for op in ops:
-                if op.kind == "send":
-                    key = (rank, op.peer, op.tag, op.nbytes)
-                    pending[key] = pending.get(key, 0) + 1
-                elif op.kind == "recv":
-                    key = (op.peer, rank, op.tag, op.nbytes)
-                    pending[key] = pending.get(key, 0) - 1
-        unbalanced = {k: v for k, v in pending.items() if v}
-        if unbalanced:
-            raise ValueError(f"unbalanced sends/recvs: {unbalanced}")

@@ -9,21 +9,16 @@ The grid sweeps go through the campaign layer (:mod:`repro.campaign`):
 figures plan their parameter grids, the executor runs them (``workers``
 fans out over processes, and a ``cache_path`` makes regeneration
 incremental), and the tables are assembled from the returned records.
-
-Every grid figure also accepts ``shard="i/K"`` (or a
-:class:`~repro.campaign.shard.ShardSpec`): the sweep then executes only
-that deterministic slice of its jobs — the multi-host recipe is one
-shard per host into per-shard caches, ``python -m repro.campaign merge``,
-then the figure unsharded over the merged cache (which executes nothing).
-A sharded call returns a progress stub instead of the figure, since the
-table needs every grid point.
+To spread a figure's jobs over hosts, run ``python -m repro.campaign sweep
+--shard i/K`` per host, ``python -m repro.campaign merge``, then the figure
+over the merged cache (which executes nothing).
 """
 
 from __future__ import annotations
 
 from repro.bench.harness import Table
 from repro.bench import paper_data
-from repro.campaign import as_shard, run_grid, run_points
+from repro.campaign import run_grid, run_points
 from repro.des.trace import render_timeline
 from repro.experiments import (
     accumulate_completion_ns,
@@ -53,21 +48,8 @@ __all__ = [
 _PP_SIZES = (8, 64, 512, 4096, 32_768, 262_144)
 
 
-def _shard_stub(res, title: str, shard) -> Table:
-    """What a sharded figure run returns: progress, not a partial table."""
-    table = Table(
-        title=f"{title} [shard {as_shard(shard)}]",
-        columns=["shard_jobs", "executed", "cached"],
-    )
-    table.add(shard_jobs=len(res.jobs), executed=res.executed,
-              cached=res.cached)
-    table.note("sharded sweep: results are cached, not tabulated — run "
-               "`campaign merge`, then regenerate the figure unsharded")
-    return table
-
-
 def fig3_pingpong(config: str = "int", full: bool = False,
-                  workers: int = 1, cache_path=None, shard=None) -> Table:
+                  workers: int = 1, cache_path=None) -> Table:
     """Fig 3b (int) / 3c (dis): ping-pong half-RTT in microseconds."""
     sizes = _PP_SIZES if not full else tuple(2**k for k in range(2, 19))
     modes = ("rdma", "p4", "spin_store", "spin_stream")
@@ -77,9 +59,7 @@ def fig3_pingpong(config: str = "int", full: bool = False,
     )
     res = run_grid("pingpong", {"size": sizes, "mode": modes},
                    overrides={"config": config},
-                   workers=workers, cache_path=cache_path, shard=shard)
-    if shard is not None:
-        return _shard_stub(res, table.title, shard)
+                   workers=workers, cache_path=cache_path)
     ref = paper_data.FIG3_SMALL_MSG_NS[config]
     for size in sizes:
         row = {
@@ -179,7 +159,7 @@ def ablate_eager_threshold(full: bool = False) -> Table:
 
 
 def fig3d_accumulate(full: bool = False, workers: int = 1,
-                     cache_path=None, shard=None) -> Table:
+                     cache_path=None) -> Table:
     """Fig 3d: remote accumulate completion time (us), both NIC types."""
     sizes = (8, 512, 4096, 32_768, 262_144) if not full else tuple(
         2**k for k in range(3, 19)
@@ -190,9 +170,7 @@ def fig3d_accumulate(full: bool = False, workers: int = 1,
     )
     res = run_grid("accumulate", {"size": sizes, "mode": ("rdma", "spin"),
                                   "config": ("int", "dis")},
-                   workers=workers, cache_path=cache_path, shard=shard)
-    if shard is not None:
-        return _shard_stub(res, table.title, shard)
+                   workers=workers, cache_path=cache_path)
     for size in sizes:
         table.add(
             size_B=size,
@@ -208,8 +186,7 @@ def fig3d_accumulate(full: bool = False, workers: int = 1,
     return table
 
 
-def fig4_hpus(full: bool = False, workers: int = 1, cache_path=None,
-              shard=None) -> Table:
+def fig4_hpus(full: bool = False, workers: int = 1, cache_path=None) -> Table:
     """Fig 4: HPUs needed for line rate vs packet size and handler time."""
     sizes = (16, 64, 128, 335, 512, 1024, 2048, 4096)
     table = Table(
@@ -218,9 +195,7 @@ def fig4_hpus(full: bool = False, workers: int = 1, cache_path=None,
     )
     res = run_grid("linerate", {"packet_bytes": sizes,
                                 "handler_ns": (100.0, 200.0, 500.0, 1000.0)},
-                   workers=workers, cache_path=cache_path, shard=shard)
-    if shard is not None:
-        return _shard_stub(res, table.title, shard)
+                   workers=workers, cache_path=cache_path)
     for s in sizes:
         table.add(
             packet_B=s,
@@ -241,7 +216,7 @@ def fig4_hpus(full: bool = False, workers: int = 1, cache_path=None,
 
 
 def fig5a_broadcast(config: str = "dis", full: bool = False,
-                    workers: int = 1, cache_path=None, shard=None) -> Table:
+                    workers: int = 1, cache_path=None) -> Table:
     """Fig 5a: binomial broadcast latency (us) vs process count."""
     procs = (4, 16, 64, 256) if not full else (4, 16, 64, 256, 1024)
     table = Table(
@@ -252,9 +227,7 @@ def fig5a_broadcast(config: str = "dis", full: bool = False,
     res = run_grid("broadcast", {"procs": procs, "size": (8, 1 << 16),
                                  "mode": ("rdma", "p4", "spin")},
                    overrides={"config": config},
-                   workers=workers, cache_path=cache_path, shard=shard)
-    if shard is not None:
-        return _shard_stub(res, table.title, shard)
+                   workers=workers, cache_path=cache_path)
     for p in procs:
         table.add(
             procs=p,
@@ -311,7 +284,7 @@ def fig5b_timelines() -> str:
 
 
 def tab5c_apps(nprocs: int = 16, iters: int = 3, full: bool = False,
-               workers: int = 1, cache_path=None, shard=None) -> Table:
+               workers: int = 1, cache_path=None) -> Table:
     """Table 5c: full-application speedups from offloaded matching."""
     from repro.apps import APP_TRACES
 
@@ -323,9 +296,7 @@ def tab5c_apps(nprocs: int = 16, iters: int = 3, full: bool = False,
     )
     res = run_grid("apps_matching", {"app": tuple(APP_TRACES)},
                    overrides={"nprocs": nprocs, "iters": iters},
-                   workers=workers, cache_path=cache_path, shard=shard)
-    if shard is not None:
-        return _shard_stub(res, table.title, shard)
+                   workers=workers, cache_path=cache_path)
     for name, (gen, p_procs, p_ovhd, p_spd) in APP_TRACES.items():
         row = res.lookup(app=name)
         table.add(
@@ -340,7 +311,7 @@ def tab5c_apps(nprocs: int = 16, iters: int = 3, full: bool = False,
 
 
 def fig7a_datatype(full: bool = False, workers: int = 1,
-                   cache_path=None, shard=None) -> Table:
+                   cache_path=None) -> Table:
     """Fig 7a: 4 MiB strided receive, completion time and bandwidth."""
     message = 4 << 20
     blocks = (256, 1024, 4096, 32_768, 262_144) if not full else tuple(
@@ -353,9 +324,7 @@ def fig7a_datatype(full: bool = False, workers: int = 1,
     res = run_grid("datatype_recv", {"blocksize": blocks,
                                      "mode": ("rdma", "spin")},
                    overrides={"message": message, "config": "int"},
-                   workers=workers, cache_path=cache_path, shard=shard)
-    if shard is not None:
-        return _shard_stub(res, table.title, shard)
+                   workers=workers, cache_path=cache_path)
     for b in blocks:
         rdma = res.lookup(blocksize=b, mode="rdma")
         spin = res.lookup(blocksize=b, mode="spin")
@@ -397,8 +366,7 @@ def fig7b_timeline() -> str:
     return "\n".join(out)
 
 
-def fig7c_raid(full: bool = False, workers: int = 1, cache_path=None,
-               shard=None) -> Table:
+def fig7c_raid(full: bool = False, workers: int = 1, cache_path=None) -> Table:
     """Fig 7c: RAID-5 update completion time (us)."""
     sizes = (64, 4096, 32_768, 262_144) if not full else tuple(
         2**k for k in range(2, 19)
@@ -409,9 +377,7 @@ def fig7c_raid(full: bool = False, workers: int = 1, cache_path=None,
     )
     res = run_grid("raid_update", {"size": sizes, "mode": ("rdma", "spin"),
                                    "config": ("int", "dis")},
-                   workers=workers, cache_path=cache_path, shard=shard)
-    if shard is not None:
-        return _shard_stub(res, table.title, shard)
+                   workers=workers, cache_path=cache_path)
     for size in sizes:
         table.add(
             size_B=size,
@@ -425,8 +391,7 @@ def fig7c_raid(full: bool = False, workers: int = 1, cache_path=None,
     return table
 
 
-def spc_traces(full: bool = False, workers: int = 1, cache_path=None,
-               shard=None) -> Table:
+def spc_traces(full: bool = False, workers: int = 1, cache_path=None) -> Table:
     """§5.3: SPC trace replay — processing-time improvement."""
     nops = 120 if full else 40
     table = Table(
@@ -449,9 +414,7 @@ def spc_traces(full: bool = False, workers: int = 1, cache_path=None,
         for mode in ("rdma", "spin")
     ]
     res = run_points("spc_replay", points, workers=workers,
-                     cache_path=cache_path, shard=shard)
-    if shard is not None:
-        return _shard_stub(res, table.title, shard)
+                     cache_path=cache_path)
     for name, family, seed in traces:
         for config in ("int", "dis"):
             rdma = res.lookup(family=family, trace_seed=seed, config=config,
@@ -469,8 +432,7 @@ def spc_traces(full: bool = False, workers: int = 1, cache_path=None,
     return table
 
 
-def traffic_slo(full: bool = False, workers: int = 1, cache_path=None,
-                shard=None) -> Table:
+def traffic_slo(full: bool = False, workers: int = 1, cache_path=None) -> Table:
     """Time-resolved SLO view of the traffic scenarios (not in the paper).
 
     One row per metrics window: the bursting-load run's fabric queue depth
@@ -481,9 +443,7 @@ def traffic_slo(full: bool = False, workers: int = 1, cache_path=None,
     """
     cycles = 4 if full else 3
     burst = run_points("bursting_load", [{"cycles": cycles}],
-                       workers=workers, cache_path=cache_path, shard=shard)
-    if shard is not None:
-        return _shard_stub(burst, "traffic SLO timeline", shard)
+                       workers=workers, cache_path=cache_path)
     incast = run_points("incast_transient", [{}], workers=workers,
                         cache_path=cache_path)
     b, i = burst.lookup(cycles=cycles), incast.lookup()

@@ -33,7 +33,6 @@ from repro.campaign.executor import (
     CampaignResult,
     run_grid,
     run_jobs,
-    run_one,
     run_points,
 )
 from repro.campaign.planner import Job, plan_grid, plan_points
@@ -68,7 +67,6 @@ __all__ = [
     "plan_points",
     "run_grid",
     "run_jobs",
-    "run_one",
     "run_points",
     "scenario",
     "shard_cache_name",

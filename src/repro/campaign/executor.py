@@ -32,7 +32,7 @@ from repro.campaign.shard import ShardSpec, as_shard
 from repro.campaign.version import code_version
 
 __all__ = ["CampaignResult", "JobTimeoutError", "run_grid", "run_jobs",
-           "run_observed", "run_one", "run_points"]
+           "run_observed", "run_points"]
 
 
 class JobTimeoutError(RuntimeError):
@@ -429,29 +429,11 @@ def run_points(
     points: Sequence[Mapping[str, Any]],
     workers: int = 1,
     cache_path: Optional[str | Path] = None,
-    base_seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
-    shard: Optional[ShardSpec | str] = None,
-    read_caches: Sequence[str | Path] = (),
-    retries: int = 0,
-    retry_backoff_s: float = 0.5,
-    job_timeout_s: Optional[float] = None,
 ) -> CampaignResult:
-    """Plan and execute an explicit list of parameter points."""
-    jobs = plan_points(scenario, points, base_seed=base_seed)
-    return run_jobs(jobs, workers=workers, cache_path=cache_path,
-                    progress=progress, shard=shard, read_caches=read_caches,
-                    retries=retries, retry_backoff_s=retry_backoff_s,
-                    job_timeout_s=job_timeout_s)
+    """Plan and execute an explicit list of parameter points.
 
-
-def run_one(
-    scenario: str,
-    overrides: Optional[Mapping[str, Any]] = None,
-    cache_path: Optional[str | Path] = None,
-    base_seed: int = 0,
-) -> dict:
-    """Run a single parameter point and return its result dict."""
-    res = run_points(scenario, [dict(overrides or {})],
-                     cache_path=cache_path, base_seed=base_seed)
-    return res.records[0]["result"]
+    For sharding, retries or timeouts, pass the planned jobs to
+    :func:`run_jobs`.
+    """
+    return run_jobs(plan_points(scenario, points), workers=workers,
+                    cache_path=cache_path)

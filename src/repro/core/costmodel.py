@@ -12,8 +12,9 @@ the clock.  This module defines that accounting:
 * variable costs: handler code charges explicit cycles via
   :meth:`~repro.core.actions.HandlerContext.charge` /
   ``charge_per_byte`` — the per-byte constants for each paper handler are
-  documented in :mod:`repro.handlers_library` and cross-validated against
-  the mini-ISA interpreter in :mod:`repro.hpu_isa`.
+  documented in :mod:`repro.handlers_library`.  Only the XOR and
+  accumulate constants are cross-checked against the mini-ISA interpreter
+  in :mod:`repro.hpu_isa` (``tests/hpu_isa``); the others are not.
 """
 
 from __future__ import annotations

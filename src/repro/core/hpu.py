@@ -9,7 +9,7 @@ packets are dropped (§3.2).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from repro.des.engine import Environment
 from repro.des.resources import Store
@@ -23,9 +23,9 @@ class _CheckedOutStore(Store):
 
     Both handoff paths mark the id as checked out: a ``get`` served from
     the queue, and a ``put`` handed straight to a waiting getter.  This is
-    the tracking :meth:`HPUPool.release` validates against, and it works
-    for the inlined ``_free.get()`` on the ``SpinNIC`` hot path too —
-    the bookkeeping lives at the store boundary, not in ``acquire``.
+    the tracking :meth:`HPUPool.release` validates against; the bookkeeping
+    lives at the store boundary because ``SpinNIC._run_handler`` takes its
+    HPU with a bare ``_free.get()``.
     """
 
     def __init__(self, env: Environment, checked_out: set):
@@ -73,28 +73,6 @@ class HPUPool:
         """Packets currently queued for an HPU (flow-control signal)."""
         return self._waiting
 
-    @property
-    def idle(self) -> int:
-        return len(self._free)
-
-    @property
-    def outstanding(self) -> frozenset[int]:
-        """Ids currently checked out to a running handler."""
-        return frozenset(self._checked_out)
-
-    def acquire(self) -> Generator[object, object, int]:
-        """Wait for a free HPU; returns its index.
-
-        NOTE: ``SpinNIC._run_handler`` inlines this body (hot path, one
-        call per handler invocation) — keep the two in sync.
-        """
-        self._waiting += 1
-        try:
-            hpu_id = yield self._free.get()
-        finally:
-            self._waiting -= 1
-        return hpu_id
-
     def release(self, hpu_id: int) -> None:
         if not 0 <= hpu_id < self.count:
             raise ValueError(f"bad HPU id {hpu_id}")
@@ -113,9 +91,3 @@ class HPUPool:
         self.handlers_run += 1
         self.busy_ps += end - start
         self.timeline.record(self.rank, f"HPU{hpu_id}", start, end, label)
-
-    def utilization(self, elapsed: Optional[int] = None) -> float:
-        elapsed = self.env.now if elapsed is None else elapsed
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_ps / (elapsed * self.count)

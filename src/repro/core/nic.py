@@ -189,8 +189,7 @@ class SpinNIC(BaselineNIC):
     def _run_handler(
         self, state: _MessageRx, label: str, fn, *args
     ) -> Generator[object, object, ReturnCode]:
-        # Inlined HPUPool.acquire (hot: one per handler invocation) — keep
-        # in sync with the helper.
+        # Wait FIFO for a free HPU; ``waiting`` is the flow-control signal.
         hpus = self.hpus
         hpus._waiting += 1
         try:

@@ -3,7 +3,7 @@
 Three implementations of the same binomial tree:
 
 * **rdma** — every internal rank's CPU polls for the message, matches it,
-  and posts the forwards to its children (o per send, noise-sensitive);
+  and posts the forwards to its children (o per send);
 * **p4** — Portals 4 triggered operations: each internal rank pre-arms one
   triggered put per child (logarithmic NIC state, the scalability limit
   §4.4.3 notes), firing when the inbound counter reaches 1; data is
@@ -32,14 +32,14 @@ BCAST_TAG = 11
 
 
 def broadcast_latency_ns(
-    nprocs: int, size: int, mode: str, config: MachineConfig | str, noise=None
+    nprocs: int, size: int, mode: str, config: MachineConfig | str
 ) -> float:
     """Broadcast completion latency (ns) from root post to last delivery."""
     if isinstance(config, str):
         config = config_by_name(config)
     if mode not in BCAST_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    sess = Session.fattree(nprocs, config=config, noise=noise)
+    sess = Session.fattree(nprocs, config=config)
     env = sess.env
     done = env.event()
     remaining = {"count": nprocs - 1}

@@ -4,7 +4,7 @@ Four protocol variants answer a ping of ``size`` bytes:
 
 * **rdma** — the destination CPU polls for the completion of the incoming
   ping, matches it in software, and posts the pong (data fetched from host
-  memory).  System noise on the CPU delays the pong.
+  memory).
 * **p4** — the pong is a pre-set-up Portals 4 triggered put: no CPU, but
   the ping is still deposited to host memory and the pong data is fetched
   from host memory by DMA.
@@ -40,7 +40,7 @@ def _discard(_event) -> None:
 
 
 def pingpong_half_rtt_ns(size: int, mode: str, config: MachineConfig | str,
-                         noise=None, timeline_sink: list | None = None) -> float:
+                         timeline_sink: list | None = None) -> float:
     """Half round-trip time in nanoseconds for one ping-pong.
 
     ``timeline_sink``, when given a list, receives the cluster's
@@ -54,8 +54,6 @@ def pingpong_half_rtt_ns(size: int, mode: str, config: MachineConfig | str,
     sess = Session.pair(config, trace=timeline_sink is not None)
     if timeline_sink is not None:
         timeline_sink.append(sess.timeline)
-    if noise is not None:
-        sess[1].cpu.noise = noise
     env = sess.env
     origin, target = sess[0], sess[1]
 

@@ -1,9 +1,10 @@
-"""The paper's handler codes (Appendix C.3), translated to the Python API.
+"""The paper's handler codes (Appendix C.3 and §5.4), in the Python API.
 
 Each handler set mirrors the corresponding C code; per-byte cycle charges
-encode the instruction counts of the C loops on the in-order HPU
-(cross-validated against the mini-ISA interpreter in
-:mod:`repro.hpu_isa.programs`):
+encode the instruction counts of the C loops on the in-order HPU.  Only
+the XOR and accumulate charges are cross-checked against the mini-ISA
+interpreter in :mod:`repro.hpu_isa.programs` (``tests/hpu_isa``); the
+others are not:
 
 ============  =====================================================  ===========
 handler set   inner loop                                             cycles/byte
@@ -13,6 +14,7 @@ accumulate    complex multiply: 4 mul + 2 add + 4 ld/st per 8 B      1.5
 bcast         none (pure forwarding)                                 0
 ddtvec        per-block offset arithmetic (≈20 instr per block)      —
 raid (xor)    word XOR: ld + ld + xor + st per 4 B                   1.0
+kv insert     bounded chain walk: 12 + 8 per step, ≤ 4 steps         —
 ============  =====================================================  ===========
 
 The RAID-5 handlers (C.3.5) need per-message state and stripe locks, so
@@ -36,6 +38,7 @@ DESIGN.md's substitution rules):
 
 from __future__ import annotations
 
+import hashlib
 from typing import TYPE_CHECKING
 
 from repro.core.handlers import ReturnCode
@@ -48,9 +51,12 @@ __all__ = [
     "XOR_CYCLES_PER_BYTE",
     "COPY_CYCLES_PER_BYTE",
     "DDT_BLOCK_CYCLES",
+    "KV_WALK_BUDGET",
+    "kv_hash",
     "make_accumulate_handlers",
     "make_bcast_handlers",
     "make_ddtvec_handlers",
+    "make_kv_insert_handler",
     "make_pingpong_handlers",
 ]
 
@@ -62,6 +68,8 @@ XOR_CYCLES_PER_BYTE = 1.0
 COPY_CYCLES_PER_BYTE = 0.5
 #: Per-block bookkeeping in the vector-datatype handler.
 DDT_BLOCK_CYCLES = 20
+#: KV insert header handler: chain-walk steps before deferring to the host.
+KV_WALK_BUDGET = 4
 
 PONG_TAG = 10
 
@@ -310,6 +318,56 @@ def unpack_vector_reference(
     if rest:
         out[nblocks * stride : nblocks * stride + rest] = packed[nblocks * blocksize :]
     return out
+
+
+# --------------------------------------------------------------------------
+# §5.4 Key-value store insert
+# --------------------------------------------------------------------------
+def kv_hash(key: bytes, buckets: int, salt: bytes = b"") -> int:
+    """blake2b hash of ``key`` into ``[0, buckets)``.
+
+    Unsalted it is H1 (picks the server); with ``salt=b"bucket2"`` it is
+    H2 (picks the bucket) — the §5.4 two-level hashing.
+    """
+    digest = hashlib.blake2b(key, digest_size=8, salt=salt).digest()
+    return int.from_bytes(digest, "little") % buckets
+
+
+def make_kv_insert_handler(table: dict, counters: dict):
+    """The §5.4 insert header handler over one server's bucket table.
+
+    ``h.user_hdr`` carries ``bucket``, ``key`` and ``value``.  The handler
+    walks the bucket's chain for at most :data:`KV_WALK_BUDGET` steps
+    (12 cycles plus 8 per step) and links the ``(key, value)`` record.  A
+    longer chain is handed to the host CPU, which pays one DRAM latency
+    per chain entry plus one, so the NIC never backs up the network.
+    ``counters["nic_inserts"]`` and ``counters["host_fallback"]`` count the
+    two outcomes.
+    """
+
+    def insert_header_handler(ctx, h):
+        user = h.user_hdr
+        chain = table[user["bucket"]]
+        steps = min(len(chain), KV_WALK_BUDGET)
+        ctx.charge(12 + 8 * steps)
+        if len(chain) >= KV_WALK_BUDGET:
+            counters["host_fallback"] += 1
+            machine = ctx.nic.machine
+
+            def host_side():
+                yield from machine.cpu.run(
+                    machine.config.host.dram_latency_ps * (len(chain) + 1),
+                    "kv-host-insert",
+                )
+                chain.append((user["key"], user["value"]))
+
+            ctx.env.process(host_side())
+            return ReturnCode.DROP
+        chain.append((user["key"], user["value"]))
+        counters["nic_inserts"] += 1
+        return ReturnCode.DROP
+
+    return insert_header_handler
 
 
 # --------------------------------------------------------------------------

@@ -60,7 +60,6 @@ class Machine:
         config: MachineConfig,
         fabric: Fabric,
         timeline: Optional[Timeline] = None,
-        noise: Any = None,
         nic_factory: Callable[[Environment, "Machine"], BaselineNIC] = BaselineNIC,
         with_memory: bool = True,
     ):
@@ -74,8 +73,7 @@ class Machine:
         )
         self.mem_port = Server(env, name=f"mem[{rank}]")
         self.cpu = HostCPU(
-            env, config.host, self.mem_port, rank=rank, noise=noise,
-            timeline=self.timeline,
+            env, config.host, self.mem_port, rank=rank, timeline=self.timeline
         )
         limits = _limits_for_mtu(config.loggp.mtu)
         self.ni = NetworkInterface(rank, limits=limits, memory=self.memory)
@@ -230,7 +228,6 @@ class Cluster:
         config: Optional[MachineConfig] = None,
         nic_factory: Callable[..., BaselineNIC] = BaselineNIC,
         topology: Any = None,
-        noise: Any = None,
         trace: bool = False,
         with_memory: bool = True,
         fabric: str = "loggp",
@@ -259,7 +256,6 @@ class Cluster:
                 self.config,
                 self.fabric,
                 timeline=self.timeline,
-                noise=noise,
                 nic_factory=nic_factory,
                 with_memory=with_memory,
             )

@@ -6,8 +6,7 @@ movement is verifiable.  Only machines built ``with_memory`` own one, so
 ``HostMemory`` imports numpy itself and this module does not.  ``HostCPU``
 charges timed work on a bounded pool of cores, routes copies through the
 shared memory port (where they contend with NIC DMA traffic — the §5.1
-copy-overhead effect), and applies the optional noise model to CPU work
-(offloaded progress is immune, §4.4.1).
+copy-overhead effect).
 """
 
 from __future__ import annotations
@@ -18,15 +17,11 @@ from repro.des.engine import Environment, Timeout
 from repro.des.resources import Resource, Server
 from repro.des.trace import Timeline
 from repro.machine.config import HostParams
-from repro.network.noise import NoNoise
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = ["HostCPU", "HostMemory"]
-
-#: Stateless default noise model: one instance serves every CPU.
-_NO_NOISE = NoNoise()
 
 
 class HostMemory:
@@ -81,7 +76,7 @@ class HostMemory:
 
 
 class HostCPU:
-    """Timed host processor: core pool + memory-port traffic + noise."""
+    """Timed host processor: core pool + memory-port traffic."""
 
     def __init__(
         self,
@@ -89,14 +84,12 @@ class HostCPU:
         params: HostParams,
         mem_port: Server,
         rank: int = 0,
-        noise: Any = None,
         timeline: Optional[Timeline] = None,
     ):
         self.env = env
         self.params = params
         self.mem_port = mem_port
         self.rank = rank
-        self.noise = noise or _NO_NOISE
         self.timeline = timeline or Timeline(enabled=False)
         self.cores = Resource(env, capacity=params.cores)
         self.busy_ps: int = 0
@@ -104,8 +97,7 @@ class HostCPU:
     def stats(self, elapsed_ps: Optional[int] = None) -> dict:
         """JSON-ready CPU accounting (telemetry reports).
 
-        ``busy_frac`` normalises over the whole core pool, mirroring
-        :meth:`repro.core.hpu.HPUPool.utilization`.
+        ``busy_frac`` normalises over the whole core pool.
         """
         elapsed = self.env.now if elapsed_ps is None else elapsed_ps
         return {
@@ -117,14 +109,13 @@ class HostCPU:
 
     # -- primitive: timed work on a core ----------------------------------
     def run(self, work_ps: int, label: str = "work") -> Generator:
-        """Occupy one core for ``work_ps`` (inflated by noise)."""
+        """Occupy one core for ``work_ps``."""
         env = self.env
         req = self.cores.request()
         yield req
         start = env._now
-        finish = self.noise.finish(start, work_ps)
         try:
-            yield Timeout(env, finish - start)
+            yield Timeout(env, work_ps)
         finally:
             self.cores.release(req)
         now = env._now
@@ -153,7 +144,6 @@ class HostCPU:
     def _run_fn_granted(self, req: Any, work_ps: int, label: str, k: Any) -> None:
         env = self.env
         start = env._now
-        finish = self.noise.finish(start, work_ps)
 
         def done() -> None:
             self.cores.release(req)
@@ -163,7 +153,7 @@ class HostCPU:
                 self.timeline.record(self.rank, "CPU", start, now, label)
             k()
 
-        env.schedule_fn(finish - start, done)
+        env.schedule_fn(work_ps, done)
 
     def compute_cycles(self, cycles: float, label: str = "compute") -> Generator:
         """Occupy one core for an instruction count (IPC-adjusted)."""
@@ -189,10 +179,6 @@ class HostCPU:
             yield from self.mem_port.serve(traffic)
         finally:
             self.cores.release(req)
-        # Noise can preempt the copying core as well.
-        done = self.noise.finish(start, self.env.now - start)
-        if done > self.env.now:
-            yield self.env.timeout(done - self.env.now)
         self.busy_ps += self.env.now - start
         self.timeline.record(self.rank, "CPU", start, self.env.now, label)
 

@@ -7,29 +7,24 @@ Implements the paper's network model (§4.2):
   the per-bit/per-Byte note), MTU 4 KiB;
 * a fat-tree topology built from 36-port switches with 50 ns switch traversal
   and 10 m wires (33.4 ns);
-* packet-level message transmission with per-NIC injection serialization;
-* optional system-noise injection for host CPUs.
+* packet-level message transmission with per-NIC injection serialization.
 """
 
 from repro.network.loggp import LogGPParams, NetworkParams
-from repro.network.packets import Message, Packet, packetize, reassemble
+from repro.network.packets import Message, Packet, packetize
 from repro.network.topology import FatTree, UniformLatency
 from repro.network.fabric import Fabric
 from repro.network.congestion import CongestionFabric, Link
-from repro.network.noise import FixedFrequencyNoise, NoNoise
 
 __all__ = [
     "CongestionFabric",
     "Fabric",
     "FatTree",
-    "FixedFrequencyNoise",
     "Link",
     "LogGPParams",
     "Message",
     "NetworkParams",
-    "NoNoise",
     "Packet",
     "UniformLatency",
     "packetize",
-    "reassemble",
 ]

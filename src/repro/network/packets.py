@@ -3,14 +3,14 @@
 sPIN's central concept (§2): network devices split messages into packets; the
 first packet of a message is the *header packet* carrying all information
 needed to identify/steer the message, and the programmer's handlers run per
-packet.  This module implements messages, the MTU split, and reassembly.
+packet.  This module implements messages and the MTU split.
 
 Payloads are numpy ``uint8`` arrays so handlers transform *real bytes* (XOR
 parity, complex multiplies, strided deposits are all checked for
 correctness).  For application-scale simulations where content is
 irrelevant, ``payload=None`` keeps a length-only "modelled" message; numpy
-is imported only where a payload is built or reassembled, so a run of
-modelled messages never loads it.
+is imported only where a payload is built, so a run of modelled messages
+never loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Optional
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["Message", "Packet", "packetize", "reassemble", "reset_msg_ids"]
+__all__ = ["Message", "Packet", "packetize", "reset_msg_ids"]
 
 _msg_ids = itertools.count()
 
@@ -79,15 +79,6 @@ class Message:
                 raise ValueError(
                     f"payload size {self.payload.size} != declared length {self.length}"
                 )
-
-    @classmethod
-    def from_bytes(cls, source: int, target: int, data: bytes | np.ndarray, **kw) -> "Message":
-        import numpy as np
-
-        arr = np.frombuffer(bytes(data), dtype=np.uint8).copy() if isinstance(
-            data, (bytes, bytearray)
-        ) else np.asarray(data, dtype=np.uint8).ravel()
-        return cls(source=source, target=target, length=int(arr.size), payload=arr, **kw)
 
 
 @dataclass(slots=True)
@@ -158,33 +149,3 @@ def packetize(message: Message, mtu: int) -> list[Packet]:
         )
         offset += chunk
     return packets
-
-
-def reassemble(packets: list[Packet]) -> np.ndarray:
-    """Reassemble packet payloads into the full message byte array.
-
-    Packets may arrive in any order; coverage must be exact (no holes, no
-    overlap) — violations raise ``ValueError``.
-    """
-    if not packets:
-        raise ValueError("cannot reassemble an empty packet list")
-    message = packets[0].message
-    if any(p.message is not message for p in packets):
-        raise ValueError("packets from different messages")
-    if message.payload is None:
-        raise ValueError("cannot reassemble a modelled (payload-free) message")
-    import numpy as np
-
-    out = np.zeros(message.length, dtype=np.uint8)
-    seen = np.zeros(message.length, dtype=bool)
-    for p in sorted(packets, key=lambda p: p.payload_offset):
-        lo, hi = p.payload_offset, p.payload_offset + p.payload_len
-        if hi > message.length:
-            raise ValueError(f"packet overruns message: {p!r}")
-        if seen[lo:hi].any():
-            raise ValueError(f"overlapping packet coverage at [{lo}, {hi})")
-        out[lo:hi] = p.payload
-        seen[lo:hi] = True
-    if not seen.all():
-        raise ValueError("packet coverage has holes")
-    return out

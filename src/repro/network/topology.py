@@ -20,8 +20,8 @@ only loaded for that cross-validation, never on the simulation path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.network.loggp import NetworkParams
 
@@ -69,41 +69,6 @@ class FatTree:
     def capacity(self) -> int:
         return self.radix**3 // 4
 
-    @property
-    def num_pods(self) -> int:
-        """Pods actually populated by the linear host placement."""
-        return -(-self.nhosts // self.hosts_per_pod)
-
-    @property
-    def num_edge_switches(self) -> int:
-        """Edge switches actually populated by the linear host placement."""
-        return -(-self.nhosts // self.hosts_per_edge)
-
-    @property
-    def num_core_switches(self) -> int:
-        return (self.radix // 2) ** 2
-
-    @classmethod
-    def for_hosts(cls, nhosts: int,
-                  params: Optional[NetworkParams] = None) -> "FatTree":
-        """The smallest fat tree (by switch radix) holding ``nhosts``.
-
-        Picks the minimum even radix whose ``k³/4`` capacity covers the
-        host count — radix 4 carries 16 hosts, radix 8 carries 128,
-        radix 36 (the paper's switches) carries 11,664 — and rebuilds
-        ``params`` with that radix, so multi-pod clusters of hundreds to
-        thousands of hosts are one call instead of radix arithmetic.
-        """
-        if nhosts < 1:
-            raise ValueError("need at least one host")
-        params = params if params is not None else NetworkParams()
-        radix = 2
-        while radix**3 // 4 < nhosts:
-            radix += 2
-        if radix != params.switch_radix:
-            params = replace(params, switch_radix=radix)
-        return cls(params=params, nhosts=nhosts)
-
     def edge_switch_of(self, host: int) -> int:
         self._check_host(host)
         return host // self.hosts_per_edge
@@ -132,10 +97,6 @@ class FatTree:
     def latency_ps(self, a: int, b: int) -> int:
         """End-to-end L between two hosts (0 for loopback)."""
         return self.params.latency_for_hops(self.switch_hops(a, b))
-
-    def max_latency_ps(self) -> int:
-        """The cross-pod (diameter) latency."""
-        return self.params.latency_for_hops(5)
 
     # -- networkx cross-validation ------------------------------------------
     def build_graph(self) -> nx.Graph:
@@ -192,13 +153,3 @@ class UniformLatency:
 
     def switch_hops(self, a: int, b: int) -> int:
         return 0 if a == b else 1
-
-    def max_latency_ps(self) -> int:
-        return self.latency
-
-
-def cross_pod_pair(tree: FatTree) -> Optional[tuple[int, int]]:
-    """A (a, b) host pair in different pods, or None if the tree is too small."""
-    if tree.nhosts > tree.hosts_per_pod:
-        return (0, tree.hosts_per_pod)
-    return None

@@ -12,8 +12,8 @@ three artefacts:
   packet walks, and queue buildup as nested spans and counter tracks;
 * **resource-occupancy accounting** (:mod:`repro.obs.occupancy`) —
   per-HPU/DMA/CPU/link busy fractions and span-duration histograms,
-  computed incrementally (O(1) per span, no sample lists) and foldable
-  into :meth:`repro.sim.metrics.Metrics.summary` as ``occ_*`` keys;
+  computed incrementally (O(1) per span, no sample lists) and rolled up
+  per category into the report's ``occ_*`` summary;
 * a **structured run report** (:mod:`repro.obs.report`) with a stable
   schema — counters, occupancy table, top-k hottest handlers and links,
   kernel-event stats — pretty-printed by ``python -m repro.obs view``.

@@ -18,7 +18,7 @@ from repro.des.trace import span_category
 
 __all__ = ["OccupancyAccumulator"]
 
-#: Category keys always present in ``occ_*`` notes, in report order.
+#: Category keys always present in the ``occ_*`` roll-up, in report order.
 CATEGORIES = ("hpu", "cpu", "dma", "tx", "rx")
 
 

@@ -232,18 +232,6 @@ class Metrics:
             self.note(f"{prefix}_max_link_utilization", 0.0)
             self.note(f"{prefix}_links_down", 0)
 
-    def observe_occupancy(self, occupancy, elapsed_ps: int) -> None:
-        """Fold an observer's occupancy accounting into ``occ_*`` notes.
-
-        ``occupancy`` is a :class:`repro.obs.occupancy.OccupancyAccumulator`
-        (duck-typed: anything with ``category_busy_fracs``).  Every
-        category key is always present — zero when the run recorded no
-        span of that category — so summaries keep one shape whether or
-        not handlers/DMA/host work ran.
-        """
-        for key, value in occupancy.category_busy_fracs(elapsed_ps).items():
-            self.note(key, value)
-
     def first_completion_after(self, t_ps: int) -> Optional[int]:
         """Earliest logged completion at or after ``t_ps`` (recovery time).
 
@@ -414,9 +402,6 @@ class WindowedMetrics:
             idx += 1
 
     # -- reporting ---------------------------------------------------------
-    def streams(self) -> tuple[str, ...]:
-        return tuple(sorted(s for s in self._series if s is not None))
-
     def occupancy_resources(self) -> tuple[str, ...]:
         """Resources with busy-time observations, sorted."""
         return tuple(sorted(self._occ))

@@ -31,11 +31,11 @@ multi-worker campaign executors.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 from repro.campaign.registry import Param, scenario as campaign_scenario
 from repro.core.handlers import ReturnCode
+from repro.handlers_library import kv_hash, make_kv_insert_handler
 from repro.machine.config import config_by_name
 from repro.network.loggp import ROUTING_POLICIES
 from repro.portals.matching import MatchEntry
@@ -48,8 +48,6 @@ __all__ = ["LOAD_TAG", "ECHO_TAG"]
 
 LOAD_TAG = 40
 ECHO_TAG = 41
-#: Handler-side walk budget for the KV insert service (mirrors §5.4).
-KV_WALK_BUDGET = 4
 
 
 def _round2(value: float) -> float:
@@ -116,11 +114,6 @@ def _pingpong_open_load(rate_mmps: float, count: int, size: int, mode: str,
 # kvstore_load
 # ---------------------------------------------------------------------------
 
-def _kv_hash(key: bytes, buckets: int, salt: bytes = b"") -> int:
-    digest = hashlib.blake2b(key, digest_size=8, salt=salt).digest()
-    return int.from_bytes(digest, "little") % buckets
-
-
 @campaign_scenario(
     "kvstore_load",
     params=[
@@ -148,40 +141,16 @@ def _kvstore_load(nservers: int, nclients: int, clients: int, requests: int,
     tables = [{b: [] for b in range(nbuckets)} for _ in range(nservers)]
 
     with Session.pair(config, nodes=nodes) as sess:
-        def make_insert_handler(server_index: int):
-            def insert_header_handler(ctx, h):
-                user = h.user_hdr
-                chain = tables[server_index][user["bucket"]]
-                steps = min(len(chain), KV_WALK_BUDGET)
-                ctx.charge(12 + 8 * steps)
-                if len(chain) >= KV_WALK_BUDGET:
-                    counters["host_fallback"] += 1
-                    machine = ctx.nic.machine
-
-                    def host_side(chain=chain, user=user, machine=machine):
-                        yield from machine.cpu.run(
-                            machine.config.host.dram_latency_ps * (len(chain) + 1),
-                            "kv-host-insert",
-                        )
-                        chain.append((user["key"], user["value"]))
-
-                    ctx.env.process(host_side())
-                    return ReturnCode.DROP
-                chain.append((user["key"], user["value"]))
-                counters["nic_inserts"] += 1
-                return ReturnCode.DROP
-
-            return insert_header_handler
-
         for idx in range(nservers):
             sess.connect(nclients + idx, match_bits=LOAD_TAG,
-                         header_handler=make_insert_handler(idx),
+                         header_handler=make_kv_insert_handler(tables[idx],
+                                                               counters),
                          hpu_mem_bytes=256)
 
         def make_request(rng: random.Random, index: int) -> dict:
             key = f"key{rng.randrange(16 * nbuckets)}".encode()
-            node = _kv_hash(key, nservers)
-            bucket = _kv_hash(key, nbuckets, salt=b"bucket2")
+            node = kv_hash(key, nservers)
+            bucket = kv_hash(key, nbuckets, salt=b"bucket2")
             return {
                 "target": nclients + node,
                 "nbytes": len(key) + value_bytes,

@@ -32,9 +32,10 @@ import random
 
 from repro.campaign.registry import Param, scenario as campaign_scenario
 from repro.core.handlers import ReturnCode
+from repro.handlers_library import KV_WALK_BUDGET, kv_hash
 from repro.sim.drivers import PopulationDriver, run_drivers
 from repro.sim.metrics import Metrics, WindowedMetrics
-from repro.sim.scenarios import KV_WALK_BUDGET, LOAD_TAG, _kv_hash, _round2
+from repro.sim.scenarios import LOAD_TAG, _round2
 from repro.sim.session import Session
 from repro.sim.zipf import ZipfSampler
 
@@ -158,8 +159,8 @@ def _kv_serving(population: int, requests: int, nservers: int, nclients: int,
         def make_request(rng: random.Random, index: int) -> dict:
             rank = zipf.sample(rng)
             key = b"k%d" % rank
-            node = _kv_hash(key, nservers)
-            bucket = _kv_hash(key, nbuckets, salt=b"bucket2")
+            node = kv_hash(key, nservers)
+            bucket = kv_hash(key, nbuckets, salt=b"bucket2")
             return {
                 "target": nclients + node,
                 "nbytes": len(key) + value_bytes,

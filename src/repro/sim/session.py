@@ -98,7 +98,6 @@ class ClusterSpec:
     latency_ps: Optional[int] = None
     trace: bool = False
     with_memory: bool = False
-    noise: Any = None
     fabric: str = "loggp"
     link_queue_depth: Optional[int] = None
     routing: Optional[str] = None
@@ -141,7 +140,6 @@ class ClusterSpec:
             config=config,
             nic_factory=nic_factory,
             topology=self.build_topology(config),
-            noise=self.noise,
             trace=self.trace,
             with_memory=self.with_memory,
             fabric=self.fabric,

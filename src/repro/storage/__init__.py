@@ -5,8 +5,8 @@
   RDMA/CPU protocol and the sPIN NIC-offloaded protocol, plus offloaded
   reads.
 * :mod:`repro.storage.spc` — Storage Performance Council (SPC-1-format)
-  trace tooling: a parser for the published format and synthetic generators
-  for the two workload families the paper replays (financial OLTP and web
+  trace tooling: the record type and synthetic generators for the two
+  workload families the paper replays (financial OLTP and web
   search), plus the replayer that produces the §5.3 speedups.
 """
 
@@ -15,7 +15,6 @@ from repro.storage.spc import (
     SPCRecord,
     generate_financial_trace,
     generate_websearch_trace,
-    parse_spc_trace,
     replay_trace_ns,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "SPCRecord",
     "generate_financial_trace",
     "generate_websearch_trace",
-    "parse_spc_trace",
     "replay_trace_ns",
 ]

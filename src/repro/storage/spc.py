@@ -6,8 +6,8 @@ from a popular search engine.  Those traces are distributed under a
 click-through license, so this module provides (per DESIGN.md's
 substitution policy):
 
-* a parser for the published SPC trace file format — ASCII records
-  ``ASU,LBA,Size,Opcode,Timestamp`` — so the real traces drop in directly;
+* :class:`SPCRecord`, one record of the published SPC trace format
+  (``ASU,LBA,Size,Opcode,Timestamp``);
 * synthetic generators reproducing the two workload families' published
   characteristics: *financial* is small-block, write-dominated (~77 %
   writes, 512 B–8 KiB, skewed hot region); *web search* is large-block,
@@ -20,17 +20,14 @@ substitution policy):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.machine.config import MachineConfig
 from repro.storage.raid import RaidCluster
 
 __all__ = [
     "SPCRecord",
-    "format_spc_trace",
     "generate_financial_trace",
     "generate_websearch_trace",
-    "parse_spc_trace",
     "replay_trace_ns",
 ]
 
@@ -54,33 +51,6 @@ class SPCRecord:
             raise ValueError(f"size must be a positive multiple of {SECTOR}")
         if self.lba < 0 or self.timestamp < 0:
             raise ValueError("negative LBA or timestamp")
-
-
-def parse_spc_trace(lines: Iterable[str]) -> list[SPCRecord]:
-    """Parse SPC-format ASCII lines (rev 1.0.1: asu,lba,size,opcode,ts)."""
-    records = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) < 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        asu, lba, size, opcode, ts = parts[:5]
-        records.append(
-            SPCRecord(
-                asu=int(asu), lba=int(lba), size=int(size),
-                opcode=opcode.strip().upper(), timestamp=float(ts),
-            )
-        )
-    return records
-
-
-def format_spc_trace(records: Iterable[SPCRecord]) -> str:
-    """Serialize records back to the SPC ASCII format."""
-    return "\n".join(
-        f"{r.asu},{r.lba},{r.size},{r.opcode},{r.timestamp:.6f}" for r in records
-    )
 
 
 def generate_financial_trace(

@@ -5,8 +5,8 @@ The layers, bottom-up:
 * :mod:`repro.traffic.spec` — the vocabulary: source processes
   (:class:`Periodic`, :class:`Poisson`, :class:`BurstyOnOff`,
   :class:`TraceReplay`), :class:`Edge`, graph constructors
-  (:func:`all_to_one`, :func:`one_to_all`, :func:`permutation`,
-  :func:`pairwise`), and the composing :class:`TrafficSpec`;
+  (:func:`all_to_one`, :func:`permutation`, :func:`pairwise`), and the
+  composing :class:`TrafficSpec`;
 * :mod:`repro.traffic.trace` — :class:`TraceEvent` records plus JSONL
   :func:`save_trace` / :func:`load_trace`;
 * :mod:`repro.traffic.run` — :class:`TrafficRun`, which lowers a spec
@@ -28,7 +28,6 @@ from repro.traffic.spec import (
     TraceReplay,
     TrafficSpec,
     all_to_one,
-    one_to_all,
     pairwise,
     permutation,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "TrafficSpec",
     "all_to_one",
     "load_trace",
-    "one_to_all",
     "pairwise",
     "permutation",
     "save_trace",

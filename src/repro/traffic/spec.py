@@ -12,8 +12,7 @@ no imperative driver wiring.  The vocabulary:
 * **Edges** bind a source process to one ``(src, dst)`` rank pair, each
   carrying its own size distribution and optional ``make_request`` hook.
 * **Graph constructors** build edge tuples over arbitrary node sets:
-  :func:`all_to_one`, :func:`one_to_all`, :func:`permutation`,
-  :func:`pairwise`.
+  :func:`all_to_one`, :func:`permutation`, :func:`pairwise`.
 * :class:`TrafficSpec` composes edges with a shared match-bits tag and a
   seed from which every edge derives its own private RNG stream.
 
@@ -49,7 +48,6 @@ __all__ = [
     "TraceReplay",
     "TrafficSpec",
     "all_to_one",
-    "one_to_all",
     "pairwise",
     "permutation",
 ]
@@ -199,9 +197,6 @@ class TraceReplay:
         for t_ns in self.offsets_ns:
             yield t_ns * 1000.0
 
-    def size_at(self, index: int) -> Optional[int]:
-        return None if self.sizes is None else self.sizes[index]
-
 
 #: Any of the source-process flavours above (duck-typed on offsets_ps).
 Source = Union[Periodic, Poisson, BurstyOnOff, TraceReplay]
@@ -256,13 +251,6 @@ def all_to_one(sources: Union[int, Iterable[int]], target: int,
                  for s in _ranks(sources) if s != target)
 
 
-def one_to_all(src: int, targets: Union[int, Iterable[int]],
-               source: Source, **edge_kwargs) -> tuple[Edge, ...]:
-    """``src`` sends to every rank in ``targets`` (broadcast-shaped)."""
-    return tuple(Edge(src=src, dst=t, source=source, **edge_kwargs)
-                 for t in _ranks(targets) if t != src)
-
-
 def permutation(nodes: Union[int, Iterable[int]], shift: int,
                 source: Source, **edge_kwargs) -> tuple[Edge, ...]:
     """Rank ``i`` sends to rank ``(i + shift) mod N`` (shift pattern)."""
@@ -314,9 +302,6 @@ class TrafficSpec:
 
     def node_count(self) -> int:
         return self.nodes if self.nodes else self.min_nodes()
-
-    def destinations(self) -> tuple[int, ...]:
-        return tuple(sorted({e.dst for e in self.edges}))
 
     def edge_seed(self, index: int) -> int:
         """The private RNG seed for edge ``index`` (stable, collision-free

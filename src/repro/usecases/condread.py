@@ -80,6 +80,3 @@ class ConditionalReader:
         yield gate
         yield from self.client.cpu.poll()
         return [r for r in self.rows if predicate(r)], self.env.now - start
-
-    def full_table_bytes(self) -> int:
-        return len(self.rows) * self.row_bytes

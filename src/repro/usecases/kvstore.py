@@ -1,37 +1,24 @@
 """Distributed key-value store with offloaded inserts (§5.4).
 
 Two-level hashing: H1(key) picks the node, H2(key) the bucket.  The client
-sends ``(H2(k), len(k), k, v)``; the server's **header handler** walks the
-bucket chain in host memory (bounded number of steps to avoid backing up
-the network) and links the record — or defers to the host CPU when the
-walk budget is exhausted.  ``get`` follows the same request-reply shape as
-the conditional read.
+sends ``(H2(k), len(k), k, v)``; the server's **header handler**
+(:func:`repro.handlers_library.make_kv_insert_handler`) walks the bucket
+chain in host memory (bounded number of steps to avoid backing up the
+network) and links the record — or defers to the host CPU when the walk
+budget is exhausted.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Generator
 
-from repro.core.handlers import ReturnCode
+from repro.handlers_library import kv_hash, make_kv_insert_handler
 from repro.machine.config import MachineConfig, config_by_name
 from repro.sim.session import Session
 
 __all__ = ["KVStore"]
 
 KV_INSERT_TAG = 60
-#: Header-handler walk budget (steps) before deferring to the host.
-MAX_WALK_STEPS = 4
-
-
-def h1(key: bytes, nnodes: int) -> int:
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little") % nnodes
-
-
-def h2(key: bytes, nbuckets: int) -> int:
-    return int.from_bytes(
-        hashlib.blake2b(key, digest_size=8, salt=b"bucket2").digest(), "little"
-    ) % nbuckets
 
 
 class KVStore:
@@ -52,52 +39,23 @@ class KVStore:
         self.tables = [
             {b: [] for b in range(nbuckets)} for _ in range(nservers)
         ]
-        self.inserted_by_nic = 0
-        self.deferred_to_host = 0
+        self.counters = {"nic_inserts": 0, "host_fallback": 0}
         for idx in range(nservers):
             self.session.connect(
                 idx + 1,
                 match_bits=KV_INSERT_TAG,
-                header_handler=self._make_insert_handler(idx),
+                header_handler=make_kv_insert_handler(self.tables[idx],
+                                                      self.counters),
                 hpu_mem_bytes=256,
             )
-
-    def _make_insert_handler(self, server_index: int):
-        store = self
-
-        def insert_header_handler(ctx, h):
-            user = h.user_hdr
-            bucket, key, value = user["bucket"], user["key"], user["value"]
-            chain = store.tables[server_index][bucket]
-            # Bounded chain walk: one DMA-ish pointer chase per step.
-            steps = min(len(chain), MAX_WALK_STEPS)
-            ctx.charge(12 + 8 * steps)
-            if len(chain) >= MAX_WALK_STEPS:
-                # Don't back up the network: deposit a work item for the CPU.
-                store.deferred_to_host += 1
-
-                def host_side():
-                    yield from store.servers[server_index].cpu.run(
-                        ctx.nic.machine.config.host.dram_latency_ps * (len(chain) + 1),
-                        "kv-host-insert",
-                    )
-                    chain.append((key, value))
-
-                ctx.env.process(host_side())
-                return ReturnCode.DROP
-            chain.append((key, value))
-            store.inserted_by_nic += 1
-            return ReturnCode.DROP
-
-        return insert_header_handler
 
     # -- client API ----------------------------------------------------------
     def insert(self, key: bytes, value: bytes) -> Generator:
         """Insert (k, v): H1 picks the node, H2 the bucket (the §5.4 flow)."""
         import numpy as np
 
-        node = h1(key, len(self.servers))
-        bucket = h2(key, self.nbuckets)
+        node = kv_hash(key, len(self.servers))
+        bucket = kv_hash(key, self.nbuckets, salt=b"bucket2")
         yield from self.client.host_put(
             self.servers[node].rank,
             len(key) + len(value),
@@ -106,15 +64,6 @@ class KVStore:
             user_hdr={"bucket": bucket, "key": key, "value": value,
                       "len_k": len(key)},
         )
-
-    def lookup_local(self, key: bytes):
-        """Reference lookup against the shadow tables (correctness check)."""
-        node = h1(key, len(self.servers))
-        bucket = h2(key, self.nbuckets)
-        for k, v in reversed(self.tables[node][bucket]):
-            if k == key:
-                return v
-        return None
 
 
 from repro.campaign.registry import Param, scenario as campaign_scenario
@@ -147,6 +96,6 @@ def _kvstore_scenario(nservers: int, nkeys: int, value_bytes: int,
     store.cluster.run()
     return {
         "total_ns": env.now / 1000.0,
-        "nic_inserts": store.inserted_by_nic,
-        "host_fallback": store.deferred_to_host,
+        "nic_inserts": store.counters["nic_inserts"],
+        "host_fallback": store.counters["host_fallback"],
     }

@@ -46,10 +46,10 @@ def test_tiny_runs_work_without_networkx_installed():
         import sys
         sys.modules["networkx"] = None  # `import networkx` now raises
         import repro.campaign as campaign
-        from repro.campaign.executor import run_one
+        from repro.campaign import plan_points, run_jobs
         campaign.load_builtins()
         for name in ("pingpong", "incast_load", "kv_serving"):
-            run_one(name, dict(campaign.get_scenario(name).tiny))
+            run_jobs(plan_points(name, [dict(campaign.get_scenario(name).tiny)]))
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -58,13 +58,13 @@ def test_no_builtin_tiny_run_imports_networkx():
     proc = _run("""
         import sys
         import repro.campaign as campaign
-        from repro.campaign.executor import run_one
+        from repro.campaign import plan_points, run_jobs
         from repro.campaign.registry import SCENARIO_MODULES
         campaign.load_builtins()
         assert "networkx" not in sys.modules, "load_builtins"
         for name, sc in campaign.all_scenarios().items():
             if sc.fn.__module__ in SCENARIO_MODULES.values():
-                run_one(name, dict(sc.tiny))
+                run_jobs(plan_points(name, [dict(sc.tiny)]))
                 assert "networkx" not in sys.modules, name
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -74,7 +74,7 @@ def test_only_byte_moving_tiny_runs_import_numpy():
     proc = _run(f"""
         import sys
         import repro.campaign as campaign
-        from repro.campaign.executor import run_one
+        from repro.campaign import plan_points, run_jobs
         from repro.campaign.registry import SCENARIO_MODULES
         campaign.load_builtins()
         assert "numpy" not in sys.modules, "load_builtins"
@@ -84,7 +84,7 @@ def test_only_byte_moving_tiny_runs_import_numpy():
         assert set(allowed) <= set(builtins), allowed
         for name in builtins:
             if name not in allowed:
-                run_one(name, dict(campaign.get_scenario(name).tiny))
+                run_jobs(plan_points(name, [dict(campaign.get_scenario(name).tiny)]))
                 assert "numpy" not in sys.modules, name
     """)
     assert proc.returncode == 0, proc.stdout + proc.stderr

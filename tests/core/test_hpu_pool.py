@@ -1,8 +1,8 @@
 """HPUPool checkout accounting: double releases must be impossible.
 
-Regression (ISSUE 5): ``release`` used to blindly ``put`` the id back, so
-a double release put a duplicate id in the free store — two handlers
-could "run" on one HPU and utilization exceeded 1.0.
+Regression: ``release`` used to blindly ``put`` the id back, so a double
+release put a duplicate id in the free store — two handlers could "run"
+on one HPU and busy time exceeded elapsed time.
 """
 
 import pytest
@@ -11,12 +11,21 @@ from repro.core.hpu import HPUPool
 from repro.des.engine import Environment
 
 
+def _take(pool: HPUPool):
+    """Take a free HPU the way ``SpinNIC._run_handler`` does."""
+    pool._waiting += 1
+    try:
+        hpu_id = yield pool._free.get()
+    finally:
+        pool._waiting -= 1
+    return hpu_id
+
+
 def _acquire(env: Environment, pool: HPUPool) -> list:
     got = []
 
     def proc():
-        hpu_id = yield from pool.acquire()
-        got.append(hpu_id)
+        got.append((yield from _take(pool)))
 
     env.process(proc())
     env.run()
@@ -28,11 +37,11 @@ class TestCheckoutTracking:
         env = Environment()
         pool = HPUPool(env, 2)
         (a,) = _acquire(env, pool)
-        assert pool.outstanding == {a}
-        assert pool.idle == 1
+        assert pool._checked_out == {a}
+        assert len(pool._free) == 1
         pool.release(a)
-        assert pool.outstanding == frozenset()
-        assert pool.idle == 2
+        assert pool._checked_out == set()
+        assert len(pool._free) == 2
 
     def test_double_release_raises(self):
         env = Environment()
@@ -41,7 +50,7 @@ class TestCheckoutTracking:
         pool.release(a)
         with pytest.raises(ValueError, match="double release"):
             pool.release(a)
-        assert pool.idle == 2  # no duplicate id entered the free store
+        assert len(pool._free) == 2  # no duplicate id entered the free store
 
     def test_release_of_never_acquired_id_raises(self):
         env = Environment()
@@ -59,38 +68,18 @@ class TestCheckoutTracking:
         # A second acquirer now queues on the empty free store.
         waiter_got = _acquire(env, pool)
         assert waiter_got == []
+        assert pool.waiting == 1
         pool.release(a)
         env.run()
         assert waiter_got == [a]  # handed straight through
-        assert pool.outstanding == {a}  # ...and immediately checked out
-        assert pool.idle == 0
+        assert pool._checked_out == {a}  # ...and immediately checked out
+        assert len(pool._free) == 0
+        assert pool.waiting == 0
         pool.release(a)  # the waiter's own, legitimate release
-        assert pool.outstanding == frozenset()
-        assert pool.idle == 1
+        assert pool._checked_out == set()
+        assert len(pool._free) == 1
         with pytest.raises(ValueError, match="double release"):
             pool.release(a)
-
-    def test_inline_get_is_tracked(self):
-        """SpinNIC inlines ``_free.get()``; tracking lives in the store."""
-        env = Environment()
-        pool = HPUPool(env, 2)
-        got = []
-
-        def inline_proc():
-            # Mirrors SpinNIC._run_handler's inlined acquire.
-            pool._waiting += 1
-            try:
-                hpu_id = yield pool._free.get()
-            finally:
-                pool._waiting -= 1
-            got.append(hpu_id)
-
-        env.process(inline_proc())
-        env.run()
-        assert pool.outstanding == set(got)
-        pool.release(got[0])
-        with pytest.raises(ValueError):
-            pool.release(got[0])
 
     def test_utilization_cannot_exceed_one_per_hpu(self):
         """With double releases blocked, busy accounting stays sane."""
@@ -98,7 +87,7 @@ class TestCheckoutTracking:
         pool = HPUPool(env, 1)
 
         def worker():
-            hpu_id = yield from pool.acquire()
+            hpu_id = yield from _take(pool)
             start = env.now
             yield env.timeout(100)
             pool.record(hpu_id, start, env.now, "h")
@@ -108,5 +97,5 @@ class TestCheckoutTracking:
             env.process(worker())
         env.run()
         assert env.now == 300  # strictly serialized on the single HPU
-        assert pool.utilization() == 1.0
+        assert pool.busy_ps == env.now
         assert pool.handlers_run == 3

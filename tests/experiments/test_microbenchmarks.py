@@ -6,7 +6,6 @@ harness reproduces the full curves.
 
 import pytest
 
-from repro.des import ns
 from repro.experiments import (
     PINGPONG_MODES,
     accumulate_completion_ns,
@@ -16,7 +15,6 @@ from repro.experiments import (
     max_handler_time_ns,
     pingpong_half_rtt_ns,
 )
-from repro.network import FixedFrequencyNoise
 
 
 class TestPingPong:
@@ -56,16 +54,6 @@ class TestPingPong:
         """Small-message half-RTT lands in the paper's sub-microsecond band."""
         assert 400 < pingpong_half_rtt_ns(8, "spin_stream", "int") < 900
         assert 500 < pingpong_half_rtt_ns(8, "rdma", "int") < 1200
-
-    def test_noise_hurts_rdma_not_p4_or_spin(self):
-        """§4.4.1: only the CPU-progressed pong absorbs system noise."""
-        noise = FixedFrequencyNoise(period_ps=ns(2000), duration_ps=ns(1500))
-        rdma_quiet = pingpong_half_rtt_ns(8, "rdma", "int")
-        rdma_noisy = pingpong_half_rtt_ns(8, "rdma", "int", noise=noise)
-        spin_quiet = pingpong_half_rtt_ns(8, "spin_stream", "int")
-        spin_noisy = pingpong_half_rtt_ns(8, "spin_stream", "int", noise=noise)
-        assert rdma_noisy > rdma_quiet
-        assert spin_noisy == pytest.approx(spin_quiet, rel=0.01)
 
     @pytest.mark.parametrize("mode", PINGPONG_MODES)
     def test_repeated_calls_give_equal_values(self, mode):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.des import Environment, Server, ns
+from repro.des.engine import SimulationError
 from repro.machine import DMAEngine, HostCPU, HostMemory, HostParams
 from repro.machine.config import NICParams, discrete_config, integrated_config
-from repro.network import FixedFrequencyNoise
 
 
 class TestHostMemory:
@@ -43,9 +43,9 @@ class TestHostMemory:
             mem.write(-1, np.zeros(2, np.uint8))
 
 
-def make_cpu(env, noise=None, cores=8):
+def make_cpu(env, cores=8):
     port = Server(env, "mem")
-    cpu = HostCPU(env, HostParams(cores=cores), port, noise=noise)
+    cpu = HostCPU(env, HostParams(cores=cores), port)
     return cpu, port
 
 
@@ -88,19 +88,18 @@ class TestHostCPU:
         # 2 * 1000 B * 6.7 ps/B of memory-port traffic
         assert port.busy_time == round(2 * 1000 * 6.7)
 
-    def test_noise_inflates_cpu_work(self):
+    def test_negative_work_rejected(self):
         env = Environment()
-        noise = FixedFrequencyNoise(period_ps=ns(100), duration_ps=ns(10))
-        cpu, _ = make_cpu(env, noise=noise)
+        cpu, _ = make_cpu(env)
 
         def proc():
-            yield from cpu.run(ns(95))  # crosses the window at 100ns
-            return env.now
+            yield from cpu.run(-1)
 
-        p = env.process(proc())
-        # work [0,95) would finish at 95, but window [0,10) pushes start;
-        # actual: blocked 0-10, work 10-105... crosses window at 100 again.
-        assert env.run(until=p) > ns(95)
+        env.process(proc())
+        with pytest.raises(SimulationError, match="negative"):
+            env.run()
+        with pytest.raises(SimulationError, match="negative"):
+            cpu.run_fn(-1, "work", lambda: None)
 
     def test_poll_and_match_costs(self):
         env = Environment()

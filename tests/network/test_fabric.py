@@ -24,7 +24,8 @@ class TestDelivery:
         fabric = make_fabric(env, latency=ns(100))
         rx = collect_rx(fabric, 1)
         fabric.attach(0, lambda p: None)
-        msg = Message.from_bytes(0, 1, b"x" * 64)
+        msg = Message(source=0, target=1, length=64,
+                      payload=np.full(64, ord("x"), np.uint8))
         fabric.inject(msg)
         env.run()
         # serialization 64B*20ps = 1.28ns, then L = 100ns
@@ -82,7 +83,7 @@ class TestDelivery:
         rx = collect_rx(fabric, 1)
         fabric.attach(0, lambda p: None)
         data = np.arange(64, dtype=np.uint8)
-        fabric.inject(Message.from_bytes(0, 1, data))
+        fabric.inject(Message(source=0, target=1, length=64, payload=data))
         env.run()
         got = np.concatenate([p.payload for _, p in rx])
         assert np.array_equal(got, data)

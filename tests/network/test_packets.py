@@ -1,11 +1,11 @@
-"""Tests for message packetization and reassembly."""
+"""Tests for messages and packetization."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.network import Message, packetize, reassemble
+from repro.network import Message, packetize
 
 
 def make_message(length, source=0, target=1):
@@ -22,11 +22,6 @@ class TestMessage:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             Message(source=0, target=1, length=-1)
-
-    def test_from_bytes(self):
-        msg = Message.from_bytes(0, 1, b"hello")
-        assert msg.length == 5
-        assert bytes(msg.payload) == b"hello"
 
     def test_modelled_message_has_no_payload(self):
         msg = Message(source=0, target=1, length=1 << 20)
@@ -71,42 +66,6 @@ class TestPacketize:
             packetize(make_message(10), mtu=0)
 
 
-class TestReassemble:
-    def test_round_trip_in_order(self):
-        msg = make_message(10_000)
-        assert np.array_equal(reassemble(packetize(msg, 4096)), msg.payload)
-
-    def test_round_trip_out_of_order(self):
-        msg = make_message(20_000)
-        pkts = packetize(msg, 4096)
-        assert np.array_equal(reassemble(pkts[::-1]), msg.payload)
-
-    def test_missing_packet_detected(self):
-        pkts = packetize(make_message(10_000), 4096)
-        with pytest.raises(ValueError, match="holes"):
-            reassemble(pkts[:-1])
-
-    def test_duplicate_packet_detected(self):
-        pkts = packetize(make_message(10_000), 4096)
-        with pytest.raises(ValueError, match="overlap"):
-            reassemble(pkts + [pkts[0]])
-
-    def test_mixed_messages_rejected(self):
-        a = packetize(make_message(100), 4096)
-        b = packetize(make_message(100), 4096)
-        with pytest.raises(ValueError, match="different messages"):
-            reassemble([a[0], b[0]])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            reassemble([])
-
-    def test_modelled_message_rejected(self):
-        pkts = packetize(Message(source=0, target=1, length=100), 64)
-        with pytest.raises(ValueError, match="modelled"):
-            reassemble(pkts)
-
-
 class TestPacketizeProperties:
     @given(
         length=st.integers(min_value=0, max_value=200_000),
@@ -125,4 +84,5 @@ class TestPacketizeProperties:
         headers = [p for p in pkts if p.is_header]
         assert len(headers) == 1 and headers[0].seq == 0
         if length:
-            assert np.array_equal(reassemble(pkts), msg.payload)
+            assert np.array_equal(
+                np.concatenate([p.payload for p in pkts]), msg.payload)

@@ -112,7 +112,7 @@ class TestMultiPod:
     @pytest.mark.parametrize("radix,nhosts", [(6, 54), (8, 128)])
     def test_every_hop_is_a_real_edge_at_scale(self, radix, nhosts):
         t = tree(radix=radix, nhosts=nhosts)
-        assert t.num_pods > 2  # genuinely multi-pod, not a one-pod subset
+        assert t.pod_of(nhosts - 1) >= 2  # genuinely multi-pod, not a one-pod subset
         graph = t.build_graph()
         # Sampled pairs: same-edge, same-pod, and cross-pod distances all
         # represented; full O(n²) would be slow for no extra coverage.
@@ -129,28 +129,6 @@ class TestMultiPod:
                     assert len(switches_on(path)) == t.switch_hops(a, b)
                     for u, v in zip(path, path[1:]):
                         assert graph.has_edge(u, v), (routing, a, b, u, v)
-
-    def test_for_hosts_picks_minimal_radix(self):
-        for nhosts, radix in [(2, 2), (16, 4), (17, 6), (100, 8), (1000, 16)]:
-            t = FatTree.for_hosts(nhosts)
-            assert t.radix == radix
-            assert t.capacity >= nhosts
-            # Minimal: the next smaller even radix cannot hold the hosts.
-            if radix > 2:
-                assert (radix - 2) ** 3 // 4 < nhosts
-
-    def test_for_hosts_preserves_other_params(self):
-        params = NetworkParams(switch_radix=36, wire_delay_ps=123_000)
-        t = FatTree.for_hosts(100, params=params)
-        assert t.radix == 8
-        assert t.params.wire_delay_ps == 123_000
-
-    def test_pod_and_switch_counts(self):
-        t = tree(radix=4, nhosts=16)
-        assert t.num_pods == 4
-        assert t.num_edge_switches == 8
-        assert t.num_core_switches == 4
-        assert tree(radix=4, nhosts=5).num_pods == 2  # ceil(5/4)
 
     def test_ecmp_spreads_across_cores_in_a_big_tree(self):
         t = tree(radix=8, nhosts=128)

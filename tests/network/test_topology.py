@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import FatTree, NetworkParams, UniformLatency
-from repro.network.topology import cross_pod_pair
 
 
 def small_tree(nhosts=64, radix=8):
@@ -63,7 +62,6 @@ class TestLatency:
         tree = FatTree(nhosts=1024)
         # 5 switches * 50ns + 6 wires * 33.4ns = 450.4 ns
         assert tree.latency_ps(0, 324) == 450_400
-        assert tree.max_latency_ps() == 450_400
 
     def test_same_edge_latency_value(self):
         tree = FatTree(nhosts=1024)
@@ -89,16 +87,3 @@ class TestUniformLatency:
         u = UniformLatency(latency=1000)
         assert u.latency_ps(0, 1) == 1000
         assert u.latency_ps(3, 3) == 0
-        assert u.max_latency_ps() == 1000
-
-
-class TestHelpers:
-    def test_cross_pod_pair(self):
-        tree = small_tree(nhosts=64, radix=8)
-        pair = cross_pod_pair(tree)
-        assert pair is not None
-        a, b = pair
-        assert tree.pod_of(a) != tree.pod_of(b)
-
-    def test_cross_pod_pair_none_when_single_pod(self):
-        assert cross_pod_pair(small_tree(nhosts=16, radix=8)) is None

@@ -11,7 +11,7 @@ import pytest
 
 from repro.des.trace import span_category
 from repro.obs import ObsConfig, OccupancyAccumulator
-from repro.sim import Metrics, Session
+from repro.sim import Session
 from repro.sim.metrics import WindowedMetrics
 
 
@@ -163,17 +163,6 @@ def test_attaching_late_replays_existing_spans():
         for rank, lane in sess.timeline.lanes():
             assert obs.occupancy.busy_ps(rank, lane) == \
                 sess.timeline.busy_time(rank, lane)
-
-
-def test_metrics_observe_occupancy_folds_occ_keys():
-    obs, _timeline, elapsed = _pingpong()
-    metrics = Metrics()
-    metrics.observe_occupancy(obs.occupancy, elapsed)
-    summary = metrics.summary(elapsed_ps=elapsed)
-    for cat in ("hpu", "cpu", "dma", "tx", "rx"):
-        assert f"occ_{cat}_busy_frac" in summary
-        assert f"occ_{cat}_max_busy_frac" in summary
-    assert summary["occ_hpu_busy_frac"] > 0.0
 
 
 def test_span_category_mapping():

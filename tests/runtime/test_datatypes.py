@@ -1,46 +1,19 @@
-"""Tests for the MPI datatype engine."""
+"""Tests for the vector datatype and the §5.2 NIC-state argument."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.runtime import (
-    BYTE,
-    Contiguous,
-    DOUBLE,
-    Indexed,
-    Struct,
-    Vector,
-)
+from repro.handlers_library import unpack_vector_reference
+from repro.runtime import Vector
 from repro.runtime.datatypes import iovec_state_bytes, vector_state_bytes
-
-
-class TestPrimitives:
-    def test_sizes(self):
-        assert BYTE.size == 1 and DOUBLE.size == 8
-
-    def test_blocks(self):
-        assert list(DOUBLE.blocks()) == [(0, 8)]
-
-
-class TestContiguous:
-    def test_merges_into_one_block(self):
-        c = Contiguous(10, BYTE)
-        assert list(c.blocks()) == [(0, 10)]
-        assert c.size == c.extent == 10
-
-    def test_of_vector_keeps_holes(self):
-        v = Vector(count=2, blocklen=1, stride=2, base=BYTE)  # X_X_
-        c = Contiguous(2, v)
-        # extent of v is 3; second copy starts at 3.
-        assert list(c.blocks()) == [(0, 1), (2, 2), (5, 1)]
 
 
 class TestVector:
     def test_paper_tuple_semantics(self):
         """⟨start, stride, blocksize, count⟩ with O(1) state (§5.2)."""
-        v = Vector(count=8, blocklen=1536, stride=2560, base=BYTE)
+        v = Vector(count=8, blocklen=1536, stride=2560)
         blocks = list(v.blocks())
         assert len(blocks) == 8
         assert blocks[0] == (0, 1536)
@@ -53,87 +26,28 @@ class TestVector:
         with pytest.raises(ValueError):
             Vector(count=2, blocklen=4, stride=2)
 
-    def test_pack_unpack_round_trip(self):
-        v = Vector(count=4, blocklen=3, stride=5)
-        buffer = np.arange(v.extent, dtype=np.uint8)
-        packed = v.pack(buffer)
-        out = np.zeros(v.extent, np.uint8)
-        v.unpack(packed, out)
-        for off, ln in v.blocks():
-            assert np.array_equal(out[off : off + ln], buffer[off : off + ln])
 
-    def test_typed_base(self):
-        v = Vector(count=2, blocklen=2, stride=4, base=DOUBLE)
-        assert list(v.blocks()) == [(0, 16), (32, 16)]
-
-
-class TestIndexed:
-    def test_blocks(self):
-        idx = Indexed(blocklens=(2, 1), displacements=(0, 5))
-        assert list(idx.blocks()) == [(0, 2), (5, 1)]
-        assert idx.size == 3 and idx.extent == 6
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            Indexed(blocklens=(1,), displacements=(0, 1))
-
-
-class TestStruct:
-    def test_heterogeneous_fields(self):
-        s = Struct(fields=((0, Contiguous(4, BYTE)), (8, DOUBLE)))
-        assert list(s.blocks()) == [(0, 4), (8, 8)]
-        assert s.size == 12 and s.extent == 16
-
-
-class TestPackedRangeLookup:
-    def test_single_packet_covers_blocks(self):
-        v = Vector(count=4, blocklen=4, stride=8)
-        # Packed range [2, 10) covers tail of block 0 and start of block 2.
-        runs = v.blocks_in_packed_range(2, 10)
-        assert runs == [(2, 2, 2), (8, 4, 4), (16, 8, 2)]
-
-    def test_full_range_equals_blocks(self):
-        v = Vector(count=3, blocklen=5, stride=7)
-        runs = v.blocks_in_packed_range(0, v.size)
-        assert [(h, ln) for h, _, ln in runs] == list(v.blocks())
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            Vector(count=1, blocklen=4, stride=4).blocks_in_packed_range(0, 100)
-
-    @given(
-        blocklen=st.integers(1, 8),
-        pad=st.integers(0, 8),
-        count=st.integers(1, 8),
-        lo=st.integers(0, 63),
-        hi=st.integers(0, 63),
-    )
-    def test_range_lookup_consistent_with_pack(self, blocklen, pad, count, lo, hi):
-        v = Vector(count=count, blocklen=blocklen, stride=blocklen + pad)
-        lo, hi = sorted((lo % (v.size + 1), hi % (v.size + 1)))
-        buffer = np.arange(max(v.extent, 1), dtype=np.uint8)
-        packed = v.pack(buffer)
-        for host_off, pk_off, ln in v.blocks_in_packed_range(lo, hi):
-            assert np.array_equal(
-                packed[pk_off : pk_off + ln], buffer[host_off : host_off + ln]
-            )
-
-
-class TestPropertyRoundTrip:
+class TestLayoutMatchesHandlerReference:
     @given(
         count=st.integers(0, 10),
-        blocklen=st.integers(0, 10),
+        blocklen=st.integers(1, 10),
         pad=st.integers(0, 10),
         seed=st.integers(0, 1000),
     )
-    def test_pack_then_unpack_identity(self, count, blocklen, pad, seed):
+    def test_blocks_are_where_the_reference_unpack_writes(
+        self, count, blocklen, pad, seed
+    ):
+        """The reference the ddtvec handler is checked against scatters
+        packed bytes exactly onto ``Vector.blocks()``, in order."""
         v = Vector(count=count, blocklen=blocklen, stride=blocklen + pad)
-        rng = np.random.default_rng(seed)
-        buffer = rng.integers(0, 256, max(v.extent, 1), dtype=np.uint8)
-        out = np.zeros_like(buffer)
-        v.unpack(v.pack(buffer), out)
-        mask = np.zeros(buffer.size, bool)
+        packed = np.random.default_rng(seed).integers(
+            1, 256, v.size, dtype=np.uint8)
+        out = unpack_vector_reference(packed, blocklen, v.stride, v.extent)
+        pos = 0
+        mask = np.zeros(out.size, bool)
         for off, ln in v.blocks():
+            assert np.array_equal(out[off : off + ln], packed[pos : pos + ln])
             mask[off : off + ln] = True
-        assert np.array_equal(out[mask], buffer[mask])
+            pos += ln
+        assert pos == v.size
         assert not out[~mask].any()

@@ -6,10 +6,8 @@ from repro.storage import (
     SPCRecord,
     generate_financial_trace,
     generate_websearch_trace,
-    parse_spc_trace,
     replay_trace_ns,
 )
-from repro.storage.spc import format_spc_trace
 
 
 class TestRecord:
@@ -27,30 +25,6 @@ class TestRecord:
     def test_negative_fields(self):
         with pytest.raises(ValueError):
             SPCRecord(asu=0, lba=-1, size=512, opcode="R", timestamp=0)
-
-
-class TestParsing:
-    def test_round_trip(self):
-        trace = generate_financial_trace(nops=20)
-        text = format_spc_trace(trace)
-        parsed = parse_spc_trace(text.splitlines())
-        assert parsed == [
-            SPCRecord(r.asu, r.lba, r.size, r.opcode,
-                      float(f"{r.timestamp:.6f}"))
-            for r in trace
-        ]
-
-    def test_comments_and_blanks_skipped(self):
-        parsed = parse_spc_trace([
-            "# SPC trace",
-            "",
-            "0,1024,4096,W,0.001",
-        ])
-        assert len(parsed) == 1 and parsed[0].opcode == "W"
-
-    def test_malformed_line(self):
-        with pytest.raises(ValueError, match="expected 5 fields"):
-            parse_spc_trace(["1,2,3"])
 
 
 class TestGenerators:

@@ -12,7 +12,6 @@ from repro.traffic import (
     TraceReplay,
     TrafficSpec,
     all_to_one,
-    one_to_all,
     pairwise,
     permutation,
 )
@@ -60,7 +59,6 @@ class TestSources:
             TraceReplay(offsets_ns=(1.0, 2.0), sizes=(64,))
         src = TraceReplay(offsets_ns=(1.0, 2.0), sizes=(64, 128))
         assert _offsets(src) == [1000.0, 2000.0]
-        assert src.size_at(1) == 128
 
     def test_rejects_nonpositive_rates_and_counts(self):
         with pytest.raises(ValueError):
@@ -89,11 +87,6 @@ class TestEdgesAndGraphs:
         edges = all_to_one(4, 2, src)
         assert [(e.src, e.dst) for e in edges] == [(0, 2), (1, 2), (3, 2)]
 
-    def test_one_to_all_skips_the_source(self):
-        src = Periodic(rate_mmps=1.0, count=1)
-        edges = one_to_all(1, 3, src)
-        assert [(e.src, e.dst) for e in edges] == [(1, 0), (1, 2)]
-
     def test_permutation_shift_and_identity_rejection(self):
         src = Periodic(rate_mmps=1.0, count=1)
         edges = permutation(4, 1, src)
@@ -106,8 +99,9 @@ class TestEdgesAndGraphs:
         src = Periodic(rate_mmps=1.0, count=1)
         spec = TrafficSpec(edges=all_to_one(3, 3, src) + pairwise(
             ((3, 0),), src))
+        assert [(e.src, e.dst) for e in spec.edges] == [(0, 3), (1, 3),
+                                                        (2, 3), (3, 0)]
         assert spec.min_nodes() == 4
-        assert spec.destinations() == (0, 3)
 
     def test_explicit_node_count_must_cover_the_ranks(self):
         src = Periodic(rate_mmps=1.0, count=1)

@@ -5,6 +5,7 @@ import math
 import networkx as nx
 import pytest
 
+from repro.handlers_library import kv_hash
 from repro.usecases import (
     ConditionalReader,
     DistributedGraph,
@@ -27,10 +28,17 @@ class TestKVStore:
         proc = env.process(client())
         env.run(until=proc)
         env.run()
-        for i in range(10):
-            assert store.lookup_local(f"key{i}".encode()) == f"val{i}".encode()
-        assert store.inserted_by_nic == 10
-        assert store.deferred_to_host == 0
+        stored = {}
+        for node, table in enumerate(store.tables):
+            for bucket, chain in table.items():
+                for key, value in chain:
+                    # Each record sits where H1 and H2 say it belongs.
+                    assert kv_hash(key, 2) == node
+                    assert kv_hash(key, 64, salt=b"bucket2") == bucket
+                    stored[key] = value
+        assert stored == {f"key{i}".encode(): f"val{i}".encode()
+                          for i in range(10)}
+        assert store.counters == {"nic_inserts": 10, "host_fallback": 0}
 
     def test_long_chain_defers_to_host(self):
         store = KVStore(nservers=1, nbuckets=1)  # everything collides
@@ -43,7 +51,7 @@ class TestKVStore:
         proc = env.process(client())
         env.run(until=proc)
         env.run()
-        assert store.deferred_to_host > 0
+        assert store.counters["host_fallback"] > 0
         # Every record is eventually stored (NIC fast path or host slow path).
         total = sum(len(c) for c in store.tables[0].values())
         assert total == 8
@@ -92,7 +100,7 @@ class TestConditionalRead:
         matches, _ = env.run(until=proc)
         expected_saved = (50 - len(matches)) * reader.row_bytes
         assert reader.bytes_saved == expected_saved
-        assert reader.bytes_saved > 0.5 * reader.full_table_bytes()
+        assert reader.bytes_saved > 0.5 * len(reader.rows) * reader.row_bytes
 
 
 class TestTransactions:
