@@ -4,8 +4,9 @@ Processing in the Network* (Hoefler et al., SC'17).
 Public API tour:
 
 * build a system: :class:`repro.machine.Cluster` with
-  :func:`repro.machine.integrated_config` / ``discrete_config`` and the
-  :class:`repro.core.SpinNIC` factory;
+  :func:`repro.machine.integrated_config` / ``discrete_config``; every
+  machine's NIC is a :class:`repro.core.SpinNIC`, which runs MEs that
+  bind no handlers as the RDMA / Portals 4 baseline;
 * program the NIC: :func:`repro.core.connect` or :func:`repro.core.spin_me`
   with header/payload/completion handlers returning
   :class:`repro.core.ReturnCode`;

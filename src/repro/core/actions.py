@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 from repro.des.engine import Event, Timeout
 from repro.network.packets import Message
 from repro.portals.counters import Counter
+from repro.core.costmodel import HANDLER_COSTS
 from repro.core.handlers import HandlerError, HPUMemory
 
 if TYPE_CHECKING:
@@ -100,7 +101,7 @@ class HandlerContext:
             yield Timeout(self.env, self.nic.params.hpu_cycles_to_ps(cycles))
 
     def _action(self) -> Generator:
-        self.charge(self.nic.cost.action_cycles)
+        self.charge(HANDLER_COSTS.action_cycles)
         yield from self.elapse()
 
     # -- host-memory addressing ---------------------------------------------
@@ -329,7 +330,7 @@ class HandlerContext:
     # -- HPU-local synchronization (hardware instructions, no sim time) ------
     def hpu_cas(self, offset: int, cmpval: int, swapval: int) -> bool:
         """PtlHandlerCAS on HPU memory; True if the swap happened."""
-        self.charge(self.nic.cost.hpu_atomic_cycles)
+        self.charge(HANDLER_COSTS.hpu_atomic_cycles)
         current = self.state.load_u64(offset)
         if current == cmpval:
             self.state.store_u64(offset, swapval)
@@ -338,7 +339,7 @@ class HandlerContext:
 
     def hpu_fadd(self, offset: int, inc: int) -> int:
         """PtlHandlerFAdd on HPU memory; returns the prior value."""
-        self.charge(self.nic.cost.hpu_atomic_cycles)
+        self.charge(HANDLER_COSTS.hpu_atomic_cycles)
         before = self.state.load_u64(offset)
         self.state.store_u64(offset, before + inc)
         return before
@@ -350,13 +351,13 @@ class HandlerContext:
 
     # -- counters ----------------------------------------------------------
     def ct_inc(self, counter: Counter, increment: int = 1, nbytes: int = 0) -> None:
-        self.charge(self.nic.cost.hpu_atomic_cycles)
+        self.charge(HANDLER_COSTS.hpu_atomic_cycles)
         counter.increment(increment, nbytes=nbytes)
 
     def ct_get(self, counter: Counter) -> tuple[int, int]:
-        self.charge(self.nic.cost.hpu_atomic_cycles)
+        self.charge(HANDLER_COSTS.hpu_atomic_cycles)
         return counter.success, counter.failure
 
     def ct_set(self, counter: Counter, successes: int, failures: int = 0) -> None:
-        self.charge(self.nic.cost.hpu_atomic_cycles)
+        self.charge(HANDLER_COSTS.hpu_atomic_cycles)
         counter.set(successes, failures)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["HandlerCostModel"]
+__all__ = ["HANDLER_COSTS", "HandlerCostModel"]
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,7 @@ class HandlerCostModel:
     action_cycles: int = 10
     #: Cycles per HPU-local CAS / fetch-add (hardware instruction, §B.6).
     hpu_atomic_cycles: int = 2
-    #: Whether to enforce the NI's max_cycles_per_byte budget (§7: slow
-    #: handlers should be killed and flow control tripped).
-    enforce_cycle_budget: bool = False
 
-    def budget_for(self, payload_bytes: int, max_cycles_per_byte: int) -> int:
-        """Cycle budget for one packet under the NI limits (≥ a fixed floor).
 
-        Even zero-byte packets get a floor so header/completion handlers can
-        run a few hundred instructions — the "short handler" regime of §1.
-        """
-        return max(512, payload_bytes * max_cycles_per_byte)
+#: The one cost model every NIC charges (frozen, so it is shared).
+HANDLER_COSTS = HandlerCostModel()

@@ -5,6 +5,9 @@ The simulated NIC has ``hpu_count`` identical in-order cores (§4.2: four
 FIFO; the queue depth is the flow-control trigger — if more packets are
 pending than the NIC can buffer, the portal table entry is disabled and
 packets are dropped (§3.2).
+
+A NIC builds its pool when it first runs a handler, so a run that binds no
+handler (the RDMA and Portals 4 baselines) builds none.
 """
 
 from __future__ import annotations

@@ -88,6 +88,13 @@ class FaultInjector:
 
     def _arm(self) -> None:
         plan = self.plan
+        nodes = len(self.cluster)
+        for fault in plan.of_type(NodeCrash, HandlerFault):
+            if fault.rank >= nodes:
+                raise ValueError(
+                    f"{fault!r} names rank {fault.rank}, but the cluster "
+                    f"has {nodes} nodes"
+                )
         link_faults = plan.of_type(LinkDown, LinkDegrade)
         if link_faults and not hasattr(self.fabric, "fault_link_down"):
             raise ValueError(
@@ -194,12 +201,8 @@ class FaultInjector:
                 ReturnCode.SEGV if f.segv else ReturnCode.FAIL,
             ))
         for rank, specs in by_rank.items():
-            nic = self.cluster[rank].nic
-            if not hasattr(nic, "_run_handler"):
-                raise ValueError(
-                    f"handler faults need a spin NIC on rank {rank}"
-                )
-            nic._handler_fault = self._make_handler_hook(tuple(specs))
+            self.cluster[rank].nic._handler_fault = self._make_handler_hook(
+                tuple(specs))
 
     def _make_handler_hook(self, specs):
         env = self.env

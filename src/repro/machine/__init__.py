@@ -1,4 +1,4 @@
-"""Timed machine models: host CPU, host memory, DMA, and baseline NICs.
+"""Timed machine models: host CPU, host memory, DMA, and cluster assembly.
 
 This package charges the costs of the paper's §4.2/§4.3 system model:
 
@@ -9,8 +9,8 @@ This package charges the costs of the paper's §4.2/§4.3 system model:
 * NIC: hardware matching — 30 ns full-list search for header packets, 2 ns
   CAM lookup for the rest — plus event/counter/ACK/triggered machinery.
 
-The sPIN-capable NIC extends :class:`~repro.machine.nic.BaselineNIC` in
-:mod:`repro.core.nic`.
+Every machine's NIC is :class:`repro.core.nic.SpinNIC`; an ME that binds
+no handlers runs the RDMA / Portals 4 baseline on it.
 """
 
 from repro.machine.config import (
@@ -22,11 +22,9 @@ from repro.machine.config import (
 )
 from repro.machine.dma import DMAEngine
 from repro.machine.host import HostCPU, HostMemory
-from repro.machine.nic import BaselineNIC
 from repro.machine.cluster import Cluster, Machine
 
 __all__ = [
-    "BaselineNIC",
     "Cluster",
     "DMAEngine",
     "HostCPU",

@@ -7,15 +7,15 @@ on a shared fat-tree fabric — the complete simulated system of §4.2.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
+from repro.core.nic import SpinNIC
 from repro.des.engine import Environment, Event
 from repro.des.resources import Server
 from repro.des.trace import Timeline
 from repro.machine.config import MachineConfig, discrete_config
 from repro.machine.dma import DMAEngine
 from repro.machine.host import HostCPU, HostMemory
-from repro.machine.nic import BaselineNIC
 from repro.network.congestion import CongestionFabric
 from repro.network.fabric import Fabric
 from repro.network.packets import Message, reset_msg_ids
@@ -60,7 +60,6 @@ class Machine:
         config: MachineConfig,
         fabric: Fabric,
         timeline: Optional[Timeline] = None,
-        nic_factory: Callable[[Environment, "Machine"], BaselineNIC] = BaselineNIC,
         with_memory: bool = True,
     ):
         self.env = env
@@ -86,7 +85,7 @@ class Machine:
             timeline=self.timeline,
             mem_G_ps_per_byte=config.host.mem_G_ps_per_byte,
         )
-        self.nic = nic_factory(env, self)
+        self.nic = SpinNIC(env, self)
         fabric.attach(rank, self.nic.on_packet)
 
     # -- Portals conveniences --------------------------------------------------
@@ -105,23 +104,11 @@ class Machine:
         return self.ni.md_bind(md)
 
     # -- host-initiated operations (charge o on a core) ----------------------
-    def host_put(
-        self,
-        target: int,
-        nbytes: int,
-        match_bits: int = 0,
-        pt_index: int = 0,
-        payload=None,
-        offset: int = 0,
-        hdr_data: int = 0,
-        user_hdr: Any = None,
-        ack: bool = False,
-        md: Optional[MemoryDescriptor] = None,
-        from_host: bool = True,
-    ) -> Generator[object, object, Event]:
-        """PtlPut from this host; returns the injection-done event."""
-        yield from self.cpu.run(self.config.loggp.o_ps, "post")
-        msg = Message(
+    def _put_message(self, target: int, nbytes: int, match_bits: int,
+                     pt_index: int = 0, payload=None, offset: int = 0,
+                     hdr_data: int = 0, user_hdr: Any = None, ack: bool = False,
+                     md: Optional[MemoryDescriptor] = None) -> Message:
+        return Message(
             source=self.rank,
             target=target,
             length=nbytes,
@@ -137,13 +124,11 @@ class Machine:
                 "md_id": md.md_id if md else -1,
             },
         )
-        return self.nic.send(msg, from_host=from_host)
 
-    def host_put_fn(
+    def host_put(
         self,
         target: int,
         nbytes: int,
-        k: Any,
         match_bits: int = 0,
         pt_index: int = 0,
         payload=None,
@@ -152,8 +137,15 @@ class Machine:
         user_hdr: Any = None,
         ack: bool = False,
         md: Optional[MemoryDescriptor] = None,
-        from_host: bool = True,
-    ) -> None:
+    ) -> Generator[object, object, Event]:
+        """PtlPut from this host; returns the injection-done event."""
+        yield from self.cpu.run(self.config.loggp.o_ps, "post")
+        return self.nic.send(self._put_message(
+            target, nbytes, match_bits, pt_index, payload, offset, hdr_data,
+            user_hdr, ack, md))
+
+    def host_put_fn(self, target: int, nbytes: int, k: Any,
+                    match_bits: int = 0) -> None:
         """Chain flavour of :meth:`host_put`: ``k(done)`` gets the
         injection-done event once the post overhead has been charged.
 
@@ -161,26 +153,10 @@ class Machine:
         ``o`` charge on a core, then the NIC send), minus the process
         scaffolding; see :meth:`HostCPU.run_fn`.
         """
-        def posted() -> None:
-            msg = Message(
-                source=self.rank,
-                target=target,
-                length=nbytes,
-                kind="put",
-                match_bits=match_bits,
-                offset=offset,
-                hdr_data=hdr_data,
-                user_hdr=user_hdr,
-                payload=payload,
-                meta={
-                    "pt_index": pt_index,
-                    "ack": ack,
-                    "md_id": md.md_id if md else -1,
-                },
-            )
-            k(self.nic.send(msg, from_host=from_host))
-
-        self.cpu.run_fn(self.config.loggp.o_ps, "post", posted)
+        self.cpu.run_fn(
+            self.config.loggp.o_ps, "post",
+            lambda: k(self.nic.send(self._put_message(target, nbytes,
+                                                      match_bits))))
 
     def host_get(
         self,
@@ -226,7 +202,6 @@ class Cluster:
         self,
         nprocs: int,
         config: Optional[MachineConfig] = None,
-        nic_factory: Callable[..., BaselineNIC] = BaselineNIC,
         topology: Any = None,
         trace: bool = False,
         with_memory: bool = True,
@@ -256,7 +231,6 @@ class Cluster:
                 self.config,
                 self.fabric,
                 timeline=self.timeline,
-                nic_factory=nic_factory,
                 with_memory=with_memory,
             )
             for rank in range(nprocs)

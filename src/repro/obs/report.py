@@ -37,8 +37,8 @@ def _session_counters(session, elapsed_ps: int) -> tuple[dict, float]:
         nic = machine.nic
         counters["messages_sent"] += nic.messages_sent
         counters["messages_received"] += nic.messages_received
-        counters["flow_control_trips"] += getattr(nic, "flow_control_trips", 0)
-        hpus = getattr(nic, "_hpus", None)
+        counters["flow_control_trips"] += nic.flow_control_trips
+        hpus = nic._hpus
         if hpus is not None:
             counters["handlers_run"] += hpus.handlers_run
         dma = machine.dma.stats()

@@ -31,7 +31,9 @@ class NILimits:
     max_handler_mem: int = 64 * 1024     # HPU memory bytes per handler set
     max_initial_state: int = 4096        # bytes of host-initialized HPU state
     min_fragmentation_limit: int = 64    # payload alignment/multiple guarantee
-    max_cycles_per_byte: int = 16        # HPU cycle budget per payload byte
+    # Mirrors ptl_ni_limits_t's per-byte HPU cycle budget; the model
+    # reports it but does not enforce it.
+    max_cycles_per_byte: int = 16
 
     def __post_init__(self) -> None:
         if self.max_payload_size <= 0:

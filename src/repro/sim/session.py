@@ -6,7 +6,7 @@ Every scenario in this repository used to hand-wire ``Cluster`` +
 programming model:
 
 * a :class:`ClusterSpec` says *what* to simulate (node count, machine
-  config, topology, NIC flavour, tracing) — no imperative assembly;
+  config, topology, fabric, tracing) — no imperative assembly;
 * :meth:`Session.connect` / :meth:`Session.install` install handler
   channels and matching entries with **install-time validation** (limits,
   oversized initial state, use-after-free HPU memory);
@@ -32,10 +32,9 @@ golden-trace digests are preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Generator, Optional, Union
+from typing import Any, Generator, Optional, Union
 
 from repro.core.channel import Channel, connect as _connect
-from repro.core.nic import SpinNIC
 from repro.des.engine import Environment, Event, Process
 from repro.des.trace import Timeline
 from repro.machine.cluster import Cluster, Machine
@@ -44,18 +43,11 @@ from repro.machine.config import (
     MachineConfig,
     config_by_name,
 )
-from repro.machine.nic import BaselineNIC
 from repro.network.topology import FatTree, UniformLatency
 from repro.portals.matching import MatchEntry
 from repro.portals.types import PortalsError
 
 __all__ = ["ClusterSpec", "Session"]
-
-#: NIC model registry for the declarative spec.
-_NIC_FACTORIES: dict[str, Callable] = {
-    "spin": SpinNIC,
-    "baseline": BaselineNIC,
-}
 
 #: Ambient observability capture (see :mod:`repro.obs.capture`): while a
 #: :class:`~repro.obs.capture.ObsCapture` is active it installs itself
@@ -93,7 +85,6 @@ class ClusterSpec:
 
     nodes: int = 2
     config: Union[MachineConfig, str] = "int"
-    nic: str = "spin"
     topology: Any = "pair"
     latency_ps: Optional[int] = None
     trace: bool = False
@@ -128,17 +119,9 @@ class ClusterSpec:
     def build(self) -> Cluster:
         """Materialise the spec into a live :class:`Cluster`."""
         config = self.resolve_config()
-        try:
-            nic_factory = _NIC_FACTORIES[self.nic]
-        except KeyError:
-            raise ValueError(
-                f"unknown NIC flavour {self.nic!r} "
-                f"(use {sorted(_NIC_FACTORIES)})"
-            ) from None
         return Cluster(
             self.nodes,
             config=config,
-            nic_factory=nic_factory,
             topology=self.build_topology(config),
             trace=self.trace,
             with_memory=self.with_memory,

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import PtlHPUAllocMem, ReturnCode, SpinNIC, spin_me
+from repro.core import PtlHPUAllocMem, ReturnCode, spin_me
 from repro.machine import Cluster, integrated_config
 from repro.portals import Counter
 from repro.portals.matching import MatchEntry
 
 
 def spin_cluster(n=2):
-    return Cluster(n, config=integrated_config(), nic_factory=SpinNIC)
+    return Cluster(n, config=integrated_config())
 
 
 def send(cluster, src, dst, nbytes, match_bits=1, payload=None, **kw):

@@ -3,20 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import HandlerCostModel, PtlHPUAllocMem, ReturnCode, SpinNIC, connect, spin_me
+from repro.core import PtlHPUAllocMem, ReturnCode, connect, spin_me
 from repro.des import ns
 from repro.machine import Cluster, integrated_config
 from repro.network import UniformLatency
 from repro.portals import EventKind
 
 
-def spin_cluster(n=2, config=None, cost_model=None, **kw):
-    factory = (
-        (lambda env, m: SpinNIC(env, m, cost_model=cost_model))
-        if cost_model
-        else SpinNIC
-    )
-    return Cluster(n, config=config or integrated_config(), nic_factory=factory, **kw)
+def spin_cluster(n=2, config=None, **kw):
+    return Cluster(n, config=config or integrated_config(), **kw)
 
 
 def send(cluster, src, dst, nbytes, match_bits=0, payload=None, **kw):
@@ -397,8 +392,7 @@ class TestTimingModel:
     def test_handler_cycles_advance_simulated_time(self):
         """500 instructions at 2.5 GHz must take 200 ns on the HPU."""
         cfg = integrated_config()
-        cluster = Cluster(2, config=cfg, nic_factory=SpinNIC,
-                          topology=UniformLatency(latency=0))
+        cluster = Cluster(2, config=cfg, topology=UniformLatency(latency=0))
         spans = []
 
         def ph(ctx, pay):
@@ -489,20 +483,6 @@ class TestFaults:
         send(cluster, 0, 1, 64, match_bits=1)
         cluster.run()
         assert cluster[1].nic.handler_errors[0][1] == ReturnCode.SEGV
-
-    def test_cycle_budget_enforcement(self):
-        cost = HandlerCostModel(enforce_cycle_budget=True)
-        cluster = spin_cluster(cost_model=cost)
-
-        def ph(ctx, pay):
-            ctx.charge(10_000_000)  # absurdly over budget
-            return ReturnCode.SUCCESS
-
-        cluster[1].post_me(0, spin_me(match_bits=1, payload_handler=ph,
-                                      hpu_memory=PtlHPUAllocMem(cluster[1], 64)))
-        send(cluster, 0, 1, 64, match_bits=1)
-        cluster.run()
-        assert not cluster[1].ni.pt(0).enabled  # killed + flow control (§7)
 
 
 class TestChannel:

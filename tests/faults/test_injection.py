@@ -172,6 +172,15 @@ class TestNodeCrash:
             sess.drain()
             assert fabric.messages_from_dead == 1
 
+    def test_crash_of_missing_rank_rejected_at_attach(self):
+        with Session.pair("int") as sess:
+            with pytest.raises(ValueError, match="rank 9.*2 nodes"):
+                sess.attach_faults(FaultPlan(faults=(
+                    NodeCrash(rank=9, at_ns=10.0),)))
+            # Nothing was scheduled: the run reaches quiescence at t=0.
+            sess.run()
+            assert sess.env.now == 0
+
     def test_crash_is_idempotent(self):
         with Session.pair("int") as sess:
             inj = sess.attach_faults(FaultPlan(faults=(
@@ -219,8 +228,10 @@ class TestHandlerFaults:
             assert not sess[1].nic.handler_errors
             assert len(served) == 4
 
-    def test_handler_faults_require_spin_nic(self):
-        with Session.pair("int", nic="baseline") as sess:
-            with pytest.raises(ValueError, match="spin"):
+    def test_handler_fault_on_missing_rank_rejected_at_attach(self):
+        with Session.pair("int") as sess:
+            with pytest.raises(ValueError, match="HandlerFault.*2 nodes"):
                 sess.attach_faults(FaultPlan(faults=(
-                    HandlerFault(rank=1),)))
+                    HandlerFault(rank=9),)))
+            assert all(m.nic._handler_fault is None
+                       for m in sess.cluster.machines)

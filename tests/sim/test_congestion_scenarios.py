@@ -38,7 +38,7 @@ class TestRxStallAccounting:
 
     A message whose header was matched but whose payload packets the
     congestion fabric tail-dropped can never complete; its ``_MessageRx``
-    stayed in ``BaselineNIC._rx`` forever, invisible to any metric.  Now
+    stayed in ``SpinNIC._rx`` forever, invisible to any metric.  Now
     ``pending_rx``/``rx_stalled_messages`` expose it,
     ``Metrics.observe_fabric`` folds it into summaries, and
     ``Session.close()`` reaps (and accounts) the stalled states.

@@ -5,7 +5,6 @@ import pytest
 from repro.core.api import PtlHPUAllocMem, PtlHPUFreeMem, spin_me
 from repro.core.handlers import HPUMemory, ReturnCode
 from repro.core.nic import SpinNIC
-from repro.machine.nic import BaselineNIC
 from repro.portals.matching import MatchEntry
 from repro.portals.types import PortalsError
 from repro.sim import ClusterSpec, Session
@@ -27,14 +26,6 @@ class TestClusterSpec:
         sess = Session.fattree(4, config="dis")
         assert len(sess) == 4
         assert sess.config.nic.attachment == "discrete"
-
-    def test_baseline_nic_flavour(self):
-        sess = Session(ClusterSpec(nic="baseline"))
-        assert type(sess[0].nic) is BaselineNIC
-
-    def test_unknown_nic_flavour_rejected(self):
-        with pytest.raises(ValueError, match="NIC flavour"):
-            Session(ClusterSpec(nic="quantum"))
 
     def test_overrides_merge_into_spec(self):
         sess = Session(ClusterSpec(nodes=2), nodes=4, with_memory=True)
@@ -140,3 +131,41 @@ class TestRunControl:
             sess.drain()
         assert served == [256]
         assert sess.now_ns > 0
+
+
+class TestHPUPool:
+    """The HPU pool is built on a NIC's first handler, never before."""
+
+    @staticmethod
+    def _put(sess):
+        def client():
+            yield from sess[0].host_put(1, 256, match_bits=3)
+
+        sess.process(client())
+        sess.drain()
+
+    def test_plain_put_builds_no_pool(self):
+        with Session.pair("int") as sess:
+            eq = sess[1].new_eq()
+            sess.install(1, MatchEntry(match_bits=3, length=256,
+                                       event_queue=eq))
+            self._put(sess)
+            assert len(eq) == 1  # the put completed
+            assert all(m.nic._hpus is None for m in sess.cluster.machines)
+
+    def test_payload_handler_builds_pool_on_target_only(self):
+        seen = []
+
+        def payload_handler(ctx, pkt):
+            seen.append(pkt.payload_len)
+            return ReturnCode.SUCCESS
+
+        with Session.pair("int") as sess:
+            sess.install(1, spin_me(
+                match_bits=3, length=256, payload_handler=payload_handler,
+                hpu_memory=PtlHPUAllocMem(sess[1], 64)))
+            self._put(sess)
+            assert seen == [256]
+            assert sess[0].nic._hpus is None
+            assert sess[1].nic._hpus is not None
+            assert sess[1].nic._hpus.handlers_run == 1

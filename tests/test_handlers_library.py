@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import PtlHPUAllocMem, SpinNIC, spin_me
+from repro.core import PtlHPUAllocMem, spin_me
 from repro.handlers_library import (
     PONG_TAG,
     binomial_children,
@@ -119,7 +119,7 @@ class TestPingpongStoreMode:
     @staticmethod
     def _pingpong(payload):
         """One 64 B store-mode ping: (pong arrival ps, pong bytes, HPU mem)."""
-        cluster = Cluster(2, config=integrated_config(), nic_factory=SpinNIC)
+        cluster = Cluster(2, config=integrated_config())
         origin, target = cluster[0], cluster[1]
         buf = origin.memory.alloc(64)
         pong_eq = origin.new_eq()
