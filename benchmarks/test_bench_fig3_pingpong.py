@@ -3,6 +3,8 @@
 from repro.bench.figures import fig3_pingpong
 from repro.bench.paper_data import FIG3_SMALL_MSG_NS
 
+from table_pins import assert_pinned
+
 
 def _check_shape(table, config):
     by_size = {row.cells["size_B"]: row.cells for row in table.rows}
@@ -22,12 +24,14 @@ def _check_shape(table, config):
 def test_fig3b_integrated(run_once):
     table = run_once(fig3_pingpong, "int")
     print("\n" + table.render())
+    assert_pinned("fig3b", table)
     _check_shape(table, "int")
 
 
 def test_fig3c_discrete(run_once):
     table = run_once(fig3_pingpong, "dis")
     print("\n" + table.render())
+    assert_pinned("fig3c", table)
     _check_shape(table, "dis")
     # The sPIN advantage is larger for the discrete NIC (higher DMA L).
     small = {r.cells["size_B"]: r.cells for r in table.rows}[8]

@@ -2,10 +2,13 @@
 
 from repro.bench.figures import fig3d_accumulate
 
+from table_pins import assert_pinned
+
 
 def test_fig3d(run_once):
     table = run_once(fig3d_accumulate)
     print("\n" + table.render())
+    assert_pinned("fig3d", table)
     rows = {r.cells["size_B"]: r.cells for r in table.rows}
     small, large = rows[8], rows[262_144]
     # Small accumulates: the DMA round trip makes sPIN slower, most

@@ -6,10 +6,13 @@ from repro.bench.figures import fig4_hpus
 from repro.experiments import hpus_needed, max_handler_time_ns, arrival_rate_mmps
 from repro.bench.paper_data import FIG4_POINTS
 
+from table_pins import assert_pinned
+
 
 def test_fig4(run_once):
     table = run_once(fig4_hpus)
     print("\n" + table.render())
+    assert_pinned("fig4", table)
     rows = {r.cells["packet_B"]: r.cells for r in table.rows}
     # g-bound plateau below 335 B.
     assert rows[16] == rows[64] == rows[335] | {"packet_B": 335} or True

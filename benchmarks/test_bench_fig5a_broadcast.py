@@ -2,10 +2,13 @@
 
 from repro.bench.figures import fig5a_broadcast
 
+from table_pins import assert_pinned
+
 
 def test_fig5a(run_once):
     table = run_once(fig5a_broadcast, "dis")
     print("\n" + table.render())
+    assert_pinned("fig5a", table)
     rows = {r.cells["procs"]: r.cells for r in table.rows}
     biggest = rows[max(rows)]
     # sPIN fastest at both message sizes; P4 between sPIN and RDMA at 8B.

@@ -3,10 +3,13 @@
 from repro.bench.figures import fig7a_datatype
 from repro.bench.paper_data import FIG7A_GIBS
 
+from table_pins import assert_pinned
+
 
 def test_fig7a(run_once):
     table = run_once(fig7a_datatype)
     print("\n" + table.render())
+    assert_pinned("fig7a", table)
     rows = {r.cells["blocksize_B"]: r.cells for r in table.rows}
     # sPIN approaches line rate (paper: 46.3 GiB/s) for 4 KiB blocks.
     spin_4k = rows[4096]["spin_GiBs"]

@@ -2,10 +2,13 @@
 
 from repro.bench.figures import fig7c_raid
 
+from table_pins import assert_pinned
+
 
 def test_fig7c(run_once):
     table = run_once(fig7c_raid)
     print("\n" + table.render())
+    assert_pinned("fig7c", table)
     rows = {r.cells["size_B"]: r.cells for r in table.rows}
     small, large = rows[64], rows[262_144]
     # Small updates comparable (within 2x either way).

@@ -3,10 +3,13 @@
 from repro.bench.figures import spc_traces
 from repro.bench.paper_data import SPC_IMPROVEMENT_RANGE
 
+from table_pins import assert_pinned
+
 
 def test_spc_traces(run_once):
     table = run_once(spc_traces)
     print("\n" + table.render())
+    assert_pinned("spc", table)
     lo, hi = SPC_IMPROVEMENT_RANGE
     improvements = {}
     for row in table.rows:

@@ -3,10 +3,13 @@
 from repro.bench.figures import tab5c_apps
 from repro.bench.paper_data import TAB5C
 
+from table_pins import assert_pinned
+
 
 def test_tab5c(run_once):
     table = run_once(tab5c_apps, 16, 3)
     print("\n" + table.render())
+    assert_pinned("tab5c", table)
     rows = {r.cells["program"]: r.cells for r in table.rows}
     for name, (procs, msgs, ovhd, spd) in TAB5C.items():
         got = rows[name]

@@ -46,36 +46,36 @@ def run_schedule(
 ) -> AppResult:
     """Execute a schedule under one matching protocol."""
     nprocs = schedule.nprocs
-    session = Session.fattree(nprocs, config=config)
-    env = session.env
-    endpoints = [
-        MPIEndpoint(session[r], protocol, eager_threshold=eager_threshold)
-        for r in range(nprocs)
-    ]
-    finish_ps = [0] * nprocs
+    with Session.fattree(nprocs, config=config) as session:
+        env = session.env
+        endpoints = [
+            MPIEndpoint(session[r], protocol, eager_threshold=eager_threshold)
+            for r in range(nprocs)
+        ]
+        finish_ps = [0] * nprocs
 
-    def rank_proc(rank: int):
-        ep = endpoints[rank]
-        machine = session[rank]
-        outstanding = []
-        for op in schedule.ranks.get(rank, []):
-            if op.kind == "calc":
-                yield from machine.cpu.run(op.duration_ps, "app-calc")
-            elif op.kind == "send":
-                req = yield from ep.send(op.peer, op.nbytes, op.tag)
-                outstanding.append(req)
-            elif op.kind == "recv":
-                req = yield from ep.recv(op.peer, op.nbytes, op.tag)
-                outstanding.append(req)
-            else:  # waitall
+        def rank_proc(rank: int):
+            ep = endpoints[rank]
+            machine = session[rank]
+            outstanding = []
+            for op in schedule.ranks.get(rank, []):
+                if op.kind == "calc":
+                    yield from machine.cpu.run(op.duration_ps, "app-calc")
+                elif op.kind == "send":
+                    req = yield from ep.send(op.peer, op.nbytes, op.tag)
+                    outstanding.append(req)
+                elif op.kind == "recv":
+                    req = yield from ep.recv(op.peer, op.nbytes, op.tag)
+                    outstanding.append(req)
+                else:  # waitall
+                    yield from ep.wait_all(outstanding)
+                    outstanding = []
+            if outstanding:
                 yield from ep.wait_all(outstanding)
-                outstanding = []
-        if outstanding:
-            yield from ep.wait_all(outstanding)
-        finish_ps[rank] = env.now
+            finish_ps[rank] = env.now
 
-    procs = [env.process(rank_proc(r), name=f"app[{r}]") for r in range(nprocs)]
-    with session:
+        procs = [env.process(rank_proc(r), name=f"app[{r}]")
+                 for r in range(nprocs)]
         session.run(until=env.all_of(procs))
         session.drain()
 

@@ -92,26 +92,27 @@ def fig3a_timelines() -> str:
 
     out = []
     for mode, streaming in (("store", False), ("stream", True)):
-        cluster = Session.pair(integrated_config(), trace=True).cluster
-        env = cluster.env
-        origin, target = cluster[0], cluster[1]
-        pong_eq = origin.new_eq()
-        origin.post_me(0, MatchEntry(match_bits=PONG_TAG, length=8192,
-                                     event_queue=pong_eq))
-        hh, ph, ch = make_pingpong_handlers(streaming=streaming)
-        target.post_me(0, spin_me(
-            match_bits=PING_TAG, length=8192,
-            header_handler=hh, payload_handler=ph, completion_handler=ch,
-            hpu_memory=PtlHPUAllocMem(target, 16384),
-        ))
+        with Session.pair(integrated_config(), trace=True) as session:
+            cluster = session.cluster
+            env = cluster.env
+            origin, target = cluster[0], cluster[1]
+            pong_eq = origin.new_eq()
+            origin.post_me(0, MatchEntry(match_bits=PONG_TAG, length=8192,
+                                         event_queue=pong_eq))
+            hh, ph, ch = make_pingpong_handlers(streaming=streaming)
+            target.post_me(0, spin_me(
+                match_bits=PING_TAG, length=8192,
+                header_handler=hh, payload_handler=ph, completion_handler=ch,
+                hpu_memory=PtlHPUAllocMem(target, 16384),
+            ))
 
-        def pinger():
-            yield from origin.host_put(1, 8192, match_bits=PING_TAG)
+            def pinger():
+                yield from origin.host_put(1, 8192, match_bits=PING_TAG)
 
-        env.process(pinger())
-        cluster.run()
-        out.append(f"--- sPIN ({mode}) 8 KiB ping-pong ---")
-        out.append(render_timeline(cluster.timeline, width=90))
+            env.process(pinger())
+            cluster.run()
+            out.append(f"--- sPIN ({mode}) 8 KiB ping-pong ---")
+            out.append(render_timeline(cluster.timeline, width=90))
     return "\n".join(out)
 
 
@@ -257,29 +258,30 @@ def fig5b_timelines() -> str:
         "III (small, late recv)": ("spin", False, 1024),
         "IV  (large, late recv)": ("spin", False, 1 << 17),
     }.items():
-        cluster = Session.pair(integrated_config(), trace=True).cluster
-        a = MPIEndpoint(cluster[0], protocol)
-        b = MPIEndpoint(cluster[1], protocol)
-        env = cluster.env
+        with Session.pair(integrated_config(), trace=True) as session:
+            cluster = session.cluster
+            a = MPIEndpoint(cluster[0], protocol)
+            b = MPIEndpoint(cluster[1], protocol)
+            env = cluster.env
 
-        def sender():
-            if preposted:
-                yield env.timeout(ns(2000))
-            req = yield from a.send(1, nbytes, tag=1)
-            yield from a.wait(req)
+            def sender():
+                if preposted:
+                    yield env.timeout(ns(2000))
+                req = yield from a.send(1, nbytes, tag=1)
+                yield from a.wait(req)
 
-        def receiver():
-            if not preposted:
-                yield env.timeout(ns(30000))
-            req = yield from b.recv(0, nbytes, tag=1)
-            yield from b.wait(req)
+            def receiver():
+                if not preposted:
+                    yield env.timeout(ns(30000))
+                req = yield from b.recv(0, nbytes, tag=1)
+                yield from b.wait(req)
 
-        env.process(sender())
-        proc = env.process(receiver())
-        env.run(until=proc)
-        cluster.run()
-        out.append(f"--- case {case} ---")
-        out.append(render_timeline(cluster.timeline, width=90))
+            env.process(sender())
+            proc = env.process(receiver())
+            env.run(until=proc)
+            cluster.run()
+            out.append(f"--- case {case} ---")
+            out.append(render_timeline(cluster.timeline, width=90))
     return "\n".join(out)
 
 
@@ -509,25 +511,26 @@ def ablate_handler_cost(full: bool = False) -> Table:
         columns=["cycles_per_byte", "latency_us"],
     )
     for cpb in (0.0, 0.5, 1.0, 2.0, 4.0):
-        cluster = Session.pair(integrated_config()).cluster
-        env = cluster.env
-        done = []
+        with Session.pair(integrated_config()) as session:
+            cluster = session.cluster
+            env = cluster.env
+            done = []
 
-        def ph(ctx, pay, cpb=cpb):
-            ctx.charge_per_byte(pay.payload_len, cpb)
-            return ReturnCode.SUCCESS
+            def ph(ctx, pay, cpb=cpb):
+                ctx.charge_per_byte(pay.payload_len, cpb)
+                return ReturnCode.SUCCESS
 
-        eq = cluster[1].new_eq()
-        cluster[1].post_me(0, spin_me(
-            match_bits=1, payload_handler=ph, event_queue=eq,
-            hpu_memory=PtlHPUAllocMem(cluster[1], 64)))
-        eq.on_next(lambda ev: done.append(env.now))
+            eq = cluster[1].new_eq()
+            cluster[1].post_me(0, spin_me(
+                match_bits=1, payload_handler=ph, event_queue=eq,
+                hpu_memory=PtlHPUAllocMem(cluster[1], 64)))
+            eq.on_next(lambda ev: done.append(env.now))
 
-        def sender():
-            yield from cluster[0].host_put(1, 4096, match_bits=1)
+            def sender():
+                yield from cluster[0].host_put(1, 4096, match_bits=1)
 
-        env.process(sender())
-        cluster.run()
+            env.process(sender())
+            cluster.run()
         table.add(cycles_per_byte=cpb, latency_us=done[0] / 1e6)
     table.note("the T̂l(4096) = 650 ns budget of §4.4.2 corresponds to "
                "~0.4 cycles/byte at line rate with 8 HPUs")

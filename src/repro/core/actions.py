@@ -39,19 +39,23 @@ HANDLER_HOST_MEM = "handler"
 class HandlerContext:
     """Execution context for one handler invocation on one HPU."""
 
-    __slots__ = ("nic", "env", "machine", "hs", "rx_state", "hpu_id",
+    __slots__ = ("nic", "env", "hs", "rx_state", "hpu_id",
                  "_cycles", "total_cycles", "dma_completions")
 
     def __init__(self, nic, handler_set, rx_state, hpu_id: int):
         self.nic = nic
         self.env = nic.env
-        self.machine = nic.machine
         self.hs = handler_set
         self.rx_state = rx_state
         self.hpu_id = hpu_id
         self._cycles = 0
         self.total_cycles = 0
         self.dma_completions: list[Event] = []
+
+    @property
+    def machine(self):
+        """The :class:`~repro.machine.cluster.Machine` hosting this NIC."""
+        return self.nic.machine
 
     # -- identity / environment (compile-time constants of §3.2.2) ---------
     @property
@@ -134,10 +138,10 @@ class HandlerContext:
         yield from self._action()
         if nbytes is None:
             nbytes = len(data) if data is not None else 0
-        if nbytes > self.nic.machine.ni.limits.max_payload_size:
+        if nbytes > self.nic.ni.limits.max_payload_size:
             raise HandlerError(
                 f"put_from_device of {nbytes} B exceeds max_payload_size "
-                f"{self.nic.machine.ni.limits.max_payload_size}"
+                f"{self.nic.ni.limits.max_payload_size}"
             )
         payload = None
         if data is not None:
@@ -183,8 +187,8 @@ class HandlerContext:
         """
         yield from self._action()
         payload = None
-        if self.machine.memory is not None:
-            payload = self.machine.memory.read(self._base(options) + offset, nbytes)
+        if self.nic.memory is not None:
+            payload = self.nic.memory.read(self._base(options) + offset, nbytes)
         msg = Message(
             source=self.nic.rank,
             target=target,
@@ -240,7 +244,7 @@ class HandlerContext:
     ) -> Generator[object, object, Optional[np.ndarray]]:
         """Blocking read from host memory (2 DMA latencies + bandwidth)."""
         yield from self._action()
-        data = yield from self.machine.dma.read(
+        data = yield from self.nic.dma.read(
             self._base(options) + offset, nbytes, label=f"hpu{self.hpu_id}-r"
         )
         return data
@@ -253,7 +257,7 @@ class HandlerContext:
         handle = self.env.event()
 
         def reader():
-            data = yield from self.machine.dma.read(
+            data = yield from self.nic.dma.read(
                 self._base(options) + offset, nbytes, label=f"hpu{self.hpu_id}-r"
             )
             handle.succeed(data)
@@ -271,7 +275,7 @@ class HandlerContext:
         the host-visible event) waits for it automatically.
         """
         yield from self._action()
-        completion = yield from self.machine.dma.write(
+        completion = yield from self.nic.dma.write(
             self._base(options) + offset,
             data,
             nbytes=nbytes,
@@ -290,7 +294,7 @@ class HandlerContext:
         base = self._base(options) + offset
 
         def writer():
-            completion = yield from self.machine.dma.write(
+            completion = yield from self.nic.dma.write(
                 base, data, nbytes=nbytes, label=f"hpu{self.hpu_id}-w"
             )
             completion.callbacks.append(lambda ev: handle.succeed(ev.value))
@@ -314,7 +318,7 @@ class HandlerContext:
     ) -> Generator[object, object, tuple[bool, int]]:
         """Atomic host-memory CAS (expensive over PCIe, §B.6)."""
         yield from self._action()
-        result = yield from self.machine.dma.cas(
+        result = yield from self.nic.dma.cas(
             self._base(options) + offset, cmpval, swapval
         )
         return result
@@ -324,7 +328,7 @@ class HandlerContext:
     ) -> Generator[object, object, int]:
         """Atomic host-memory fetch-and-add; returns the prior value."""
         yield from self._action()
-        before = yield from self.machine.dma.fetch_add(self._base(options) + offset, inc)
+        before = yield from self.nic.dma.fetch_add(self._base(options) + offset, inc)
         return before
 
     # -- HPU-local synchronization (hardware instructions, no sim time) ------

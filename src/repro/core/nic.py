@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from types import GeneratorType
 from typing import Generator, Optional
+from weakref import ref
 
 from repro.core.actions import HandlerContext
 from repro.core.costmodel import HANDLER_COSTS
@@ -230,10 +231,10 @@ class _RxChain:
                 return
             entry = state.match.entry
             offset = entry.start + state.match.deposit_offset + pkt.payload_offset
-            self.offset = offset if nic.machine.memory is not None else 0
+            self.offset = offset if nic.memory is not None else 0
             self.reply = False
         elif msg.kind == "reply":
-            md = nic.machine.ni.mds.get(msg.meta.get("md_id", -1))
+            md = nic.ni.mds.get(msg.meta.get("md_id", -1))
             base = (md.start if md else 0) + msg.meta.get("reply_offset", 0)
             self.offset = base + pkt.payload_offset
             self.reply = True
@@ -247,7 +248,7 @@ class _RxChain:
         # -- the DMA write toward host memory (as DMAEngine.write) --
         self.data = pkt.payload
         self.nbytes = pkt.payload_len
-        dma = nic.machine.dma
+        dma = nic.dma
         self.t0 = nic.env._now
         self.bw = dma._bw_ps(self.nbytes)
         self.req = req = dma.mem_port.request()
@@ -263,7 +264,7 @@ class _RxChain:
         """Memory-port service done: durability callback + bookkeeping."""
         nic = self.nic
         env = nic.env
-        dma = nic.machine.dma
+        dma = nic.dma
         port = dma.mem_port
         port.busy_time += self.bw
         port.jobs_served += 1
@@ -318,14 +319,13 @@ class _SendChain:
         self.req = None
         # Begin synchronously: the counter bump is not simulation-visible.
         nic.messages_sent += 1
-        nic.env.schedule_fn(nic.machine.dma.latency_ps, self._staged)
+        nic.env.schedule_fn(nic.dma.latency_ps, self._staged)
 
     def _staged(self) -> None:
         nic = self.nic
         first = min(self.msg.length, nic.loggp.mtu)
-        dma = nic.machine.dma
-        self.bw = nic.params.dma_per_op_ps + round(first * dma.G_eff)
-        self.req = req = nic.machine.mem_port.request()
+        self.bw = nic.params.dma_per_op_ps + round(first * nic.dma.G_eff)
+        self.req = req = nic.mem_port.request()
         if req.callbacks is None:
             self._granted(req)
         else:
@@ -336,7 +336,7 @@ class _SendChain:
 
     def _filled(self) -> None:
         nic = self.nic
-        port = nic.machine.mem_port
+        port = nic.mem_port
         port.busy_time += self.bw
         port.jobs_served += 1
         port.release(self.req)
@@ -345,8 +345,8 @@ class _SendChain:
         if rest > 0:
             # Remaining bytes stream behind the wire; account their
             # memory-port occupancy without blocking injection.
-            ServeChain(port, round(rest * nic.machine.dma.G_eff))
-        injected = nic.machine.fabric.inject(self.msg)
+            ServeChain(port, round(rest * nic.dma.G_eff))
+        injected = nic._fabric().inject(self.msg)
         injected.callbacks.append(self._injected)
 
     def _injected(self, _event: Event) -> None:
@@ -377,7 +377,17 @@ class SpinNIC:
 
     def __init__(self, env: Environment, machine) -> None:
         self.env = env
-        self.machine = machine
+        # The machine owns this NIC, so the NIC keeps it only weakly (for
+        # the handler API's ``nic.machine``) and binds the siblings its hot
+        # paths use directly.  The fabric holds ``on_packet`` in its
+        # attachment table, so it too is reached through a weak reference,
+        # once per sent message.
+        self._machine = ref(machine)
+        self._fabric = ref(machine.fabric)
+        self.dma = machine.dma
+        self.ni = machine.ni
+        self.memory = machine.memory
+        self.mem_port = machine.mem_port
         self.rank = machine.rank
         self.params = machine.config.nic
         self.loggp = machine.config.loggp
@@ -399,6 +409,11 @@ class SpinNIC:
         self._hpus: Optional[HPUPool] = None
         self.handler_errors: list[tuple[str, ReturnCode]] = []
         self.flow_control_trips = 0
+
+    @property
+    def machine(self):
+        """The :class:`~repro.machine.cluster.Machine` this NIC belongs to."""
+        return self._machine()
 
     @property
     def hpus(self) -> HPUPool:
@@ -456,7 +471,7 @@ class SpinNIC:
         pt_index = msg.meta.get("pt_index", 0)
         kind = "get" if msg.kind == "get" else "put"
         length = msg.meta.get("get_length", msg.length) if kind == "get" else msg.length
-        return self.machine.ni.match(
+        return self.ni.match(
             pt_index,
             msg.source,
             msg.match_bits,
@@ -638,7 +653,7 @@ class SpinNIC:
         entry = match.entry
         nbytes = msg.meta.get("get_length", 0)
         src_offset = entry.start + msg.meta.get("get_offset", 0)
-        data = yield from self.machine.dma.read(
+        data = yield from self.dma.read(
             src_offset, nbytes, label=f"get m{msg.msg_id}"
         )
         if entry.counter is not None:
@@ -669,7 +684,7 @@ class SpinNIC:
         yield self.send(reply, from_host=False)
 
     def _complete_initiator(self, msg: Message, kind: EventKind) -> None:
-        md = self.machine.ni.mds.get(msg.meta.get("md_id", -1))
+        md = self.ni.mds.get(msg.meta.get("md_id", -1))
         if md is None:
             return
         if md.counter is not None:
@@ -757,10 +772,10 @@ class SpinNIC:
         """
         if not from_host or msg.length == 0:
             self.messages_sent += 1
-            return self.machine.fabric.inject(msg)
+            return self._fabric().inject(msg)
         return _SendChain(self, msg).done
 
     # -- misc ------------------------------------------------------------------
     def _pt_for(self, msg: Message):
         """The portal table entry ``ni.match`` resolved for ``msg``."""
-        return self.machine.ni.pt(msg.meta.get("pt_index", 0))
+        return self.ni.pt(msg.meta.get("pt_index", 0))

@@ -312,7 +312,14 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+    """Base for AllOf / AnyOf composite events.
+
+    A constituent that has not fired lists ``_check`` in its callbacks,
+    so it points back at the condition; the condition drops its own list
+    of constituents once it triggers (:meth:`_settle`).  A triggered
+    condition thus holds no constituent, and neither keeps the other
+    alive in a reference cycle.
+    """
 
     __slots__ = ("_events", "_count")
 
@@ -340,6 +347,15 @@ class _Condition(Event):
     def _check(self, event: Event) -> None:
         raise NotImplementedError
 
+    def _settle(self, event: Event) -> None:
+        """Trigger with ``event``'s failure, or with the collected values."""
+        if event._ok:
+            self.succeed(self._collect())
+        else:
+            event._defused = True
+            self.fail(event._value)
+        self._events = ()
+
 
 class AllOf(_Condition):
     """Fires when all constituent events have fired (fails fast on error)."""
@@ -349,13 +365,11 @@ class AllOf(_Condition):
     def _check(self, event: Event) -> None:
         if self.triggered:
             return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._count == len(self._events):
-            self.succeed(self._collect())
+        if event._ok:
+            self._count += 1
+            if self._count < len(self._events):
+                return
+        self._settle(event)
 
 
 class AnyOf(_Condition):
@@ -364,13 +378,8 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
+        if not self.triggered:
+            self._settle(event)
 
 
 #: Optional instrumentation sink (see :mod:`repro.perf.meter`): when set,
@@ -523,9 +532,12 @@ class Environment:
         Cyclic GC is paused for the duration of the drain: the loop
         allocates heavily (entries, chains, generator frames) and nearly
         everything dies young by refcount, so generation scans mid-drain
-        only burn time re-tracking short-lived objects.  Collection is
-        deferred, not skipped — the pause is released on exit (exceptions
-        included) and a GC the user disabled themselves stays disabled.
+        only burn time re-tracking short-lived objects.  The pause holds
+        back no finished simulation: the component graph has no reference
+        cycles, so a drained cluster that nothing references is freed by
+        reference count, not by a later collection.  The pause is
+        released on exit (exceptions included) and a GC the user disabled
+        themselves stays disabled.
         """
         if _gc_isenabled():
             _gc_disable()

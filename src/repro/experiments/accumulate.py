@@ -40,50 +40,51 @@ def accumulate_completion_ns(size: int, mode: str, config: MachineConfig | str,
         config = config_by_name(config)
     if mode not in ("rdma", "spin"):
         raise ValueError(f"unknown mode {mode!r}")
-    sess = Session.pair(config, trace=timeline_sink is not None)
-    if timeline_sink is not None:
-        timeline_sink.append(sess.timeline)
-    env = sess.env
-    origin, target = sess[0], sess[1]
-    done = env.event()
+    with Session.pair(config, trace=timeline_sink is not None) as sess:
+        if timeline_sink is not None:
+            timeline_sink.append(sess.timeline)
+        env = sess.env
+        origin, target = sess[0], sess[1]
+        done = env.event()
 
-    if mode == "rdma":
-        eq = target.new_eq()
-        sess.install(1, MatchEntry(match_bits=ACC_TAG, length=size, event_queue=eq))
+        if mode == "rdma":
+            eq = target.new_eq()
+            sess.install(1, MatchEntry(match_bits=ACC_TAG, length=size,
+                                       event_queue=eq))
 
-        def consumer():
-            yield from target.wait_event(eq)
-            # Read operand + destination, write destination: the paper's
-            # "two N-sized read and two N-sized write transactions" minus
-            # the NIC's deposit (already charged on arrival) = 3 passes.
-            yield from target.cpu.touch(size, passes=3, label="acc-mem")
-            yield from target.cpu.compute_cycles(
-                size * ACCUMULATE_CYCLES_PER_BYTE, label="acc-fma"
-            )
-            done.succeed(env.now)
+            def consumer():
+                yield from target.wait_event(eq)
+                # Read operand + destination, write destination: the paper's
+                # "two N-sized read and two N-sized write transactions" minus
+                # the NIC's deposit (already charged on arrival) = 3 passes.
+                yield from target.cpu.touch(size, passes=3, label="acc-mem")
+                yield from target.cpu.compute_cycles(
+                    size * ACCUMULATE_CYCLES_PER_BYTE, label="acc-fma"
+                )
+                done.succeed(env.now)
 
-        sess.process(consumer())
-    else:
-        hh, ph, ch = make_accumulate_handlers(pong=False)
-        eq = target.new_eq()
-        sess.install(1, spin_me(
-            match_bits=ACC_TAG, length=size,
-            header_handler=hh, payload_handler=ph,
-            event_queue=eq,
-            hpu_memory=PtlHPUAllocMem(target, 4096),
-        ))
-        eq.on_next(lambda ev: done.succeed(env.now))
+            sess.process(consumer())
+        else:
+            hh, ph, ch = make_accumulate_handlers(pong=False)
+            eq = target.new_eq()
+            sess.install(1, spin_me(
+                match_bits=ACC_TAG, length=size,
+                header_handler=hh, payload_handler=ph,
+                event_queue=eq,
+                hpu_memory=PtlHPUAllocMem(target, 4096),
+            ))
+            eq.on_next(lambda ev: done.succeed(env.now))
 
-    def producer():
-        start = env.now
-        yield from origin.host_put(1, size, match_bits=ACC_TAG)
-        finish = yield done
-        return finish - start
+        def producer():
+            start = env.now
+            yield from origin.host_put(1, size, match_bits=ACC_TAG)
+            finish = yield done
+            return finish - start
 
-    proc = sess.process(producer())
-    elapsed_ps = sess.run(until=proc)
-    sess.drain()
-    return elapsed_ps / 1000.0
+        proc = sess.process(producer())
+        elapsed_ps = sess.run(until=proc)
+        sess.drain()
+        return elapsed_ps / 1000.0
 
 
 @campaign_scenario(

@@ -39,69 +39,70 @@ def broadcast_latency_ns(
         config = config_by_name(config)
     if mode not in BCAST_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    sess = Session.fattree(nprocs, config=config)
-    env = sess.env
-    done = env.event()
-    remaining = {"count": nprocs - 1}
+    with Session.fattree(nprocs, config=config) as sess:
+        env = sess.env
+        done = env.event()
+        remaining = {"count": nprocs - 1}
 
-    def rank_done(_ev=None):
-        remaining["count"] -= 1
-        if remaining["count"] == 0 and not done.triggered:
-            done.succeed(env.now)
+        def rank_done(_ev=None):
+            remaining["count"] -= 1
+            if remaining["count"] == 0 and not done.triggered:
+                done.succeed(env.now)
 
-    for rank in range(1, nprocs):
-        machine = sess[rank]
-        eq = machine.new_eq()
-        children = binomial_children(rank, nprocs)
-        if mode == "rdma":
-            sess.install(rank, MatchEntry(match_bits=BCAST_TAG, length=size,
-                                          event_queue=eq))
+        for rank in range(1, nprocs):
+            machine = sess[rank]
+            eq = machine.new_eq()
+            children = binomial_children(rank, nprocs)
+            if mode == "rdma":
+                sess.install(rank, MatchEntry(match_bits=BCAST_TAG, length=size,
+                                              event_queue=eq))
 
-            def forwarder(machine=machine, eq=eq, children=children):
-                yield from machine.wait_event(eq)
-                yield from machine.cpu.match()
+                def forwarder(machine=machine, eq=eq, children=children):
+                    yield from machine.wait_event(eq)
+                    yield from machine.cpu.match()
+                    for child in children:
+                        yield from machine.host_put(child, size,
+                                                    match_bits=BCAST_TAG)
+                    rank_done()
+
+                sess.process(forwarder())
+            elif mode == "p4":
+                ct = machine.new_counter()
+                sess.install(rank, MatchEntry(match_bits=BCAST_TAG, length=size,
+                                              counter=ct, event_queue=eq))
                 for child in children:
-                    yield from machine.host_put(child, size, match_bits=BCAST_TAG)
-                rank_done()
+                    machine.ni.triggered.arm(
+                        ct, 1,
+                        lambda machine=machine, child=child: machine.nic.send(
+                            Message(source=machine.rank, target=child, length=size,
+                                    kind="put", match_bits=BCAST_TAG),
+                            from_host=True,
+                        ),
+                        f"fwd->{child}",
+                    )
+                eq.on_next(lambda ev: rank_done())
+            else:  # spin
+                hh, ph, ch = make_bcast_handlers(rank, nprocs, streaming=True,
+                                                 match_bits=BCAST_TAG)
+                sess.install(rank, spin_me(
+                    match_bits=BCAST_TAG, length=size,
+                    header_handler=hh, payload_handler=ph, completion_handler=ch,
+                    event_queue=eq,
+                    hpu_memory=PtlHPUAllocMem(machine, 256),
+                ))
+                eq.on_next(lambda ev: rank_done())
 
-            sess.process(forwarder())
-        elif mode == "p4":
-            ct = machine.new_counter()
-            sess.install(rank, MatchEntry(match_bits=BCAST_TAG, length=size,
-                                          counter=ct, event_queue=eq))
-            for child in children:
-                machine.ni.triggered.arm(
-                    ct, 1,
-                    lambda machine=machine, child=child: machine.nic.send(
-                        Message(source=machine.rank, target=child, length=size,
-                                kind="put", match_bits=BCAST_TAG),
-                        from_host=True,
-                    ),
-                    f"fwd->{child}",
-                )
-            eq.on_next(lambda ev: rank_done())
-        else:  # spin
-            hh, ph, ch = make_bcast_handlers(rank, nprocs, streaming=True,
-                                             match_bits=BCAST_TAG)
-            sess.install(rank, spin_me(
-                match_bits=BCAST_TAG, length=size,
-                header_handler=hh, payload_handler=ph, completion_handler=ch,
-                event_queue=eq,
-                hpu_memory=PtlHPUAllocMem(machine, 256),
-            ))
-            eq.on_next(lambda ev: rank_done())
+        def root():
+            start = env.now
+            for child in binomial_children(0, nprocs):
+                yield from sess[0].host_put(child, size, match_bits=BCAST_TAG)
+            finish = yield done
+            return finish - start
 
-    def root():
-        start = env.now
-        for child in binomial_children(0, nprocs):
-            yield from sess[0].host_put(child, size, match_bits=BCAST_TAG)
-        finish = yield done
-        return finish - start
-
-    proc = sess.process(root())
-    elapsed_ps = sess.run(until=proc)
-    sess.drain()
-    return elapsed_ps / 1000.0
+        proc = sess.process(root())
+        elapsed_ps = sess.run(until=proc)
+        sess.drain()
+        return elapsed_ps / 1000.0
 
 
 from repro.campaign.registry import Param, scenario as campaign_scenario

@@ -46,48 +46,49 @@ def datatype_recv_completion_ns(
     if mode not in ("rdma", "spin"):
         raise ValueError(f"unknown mode {mode!r}")
     stride = 2 * blocksize if stride is None else stride
-    sess = Session.pair(config)
-    env = sess.env
-    origin, target = sess[0], sess[1]
-    done = env.event()
-    nblocks = -(-message_bytes // blocksize)
+    with Session.pair(config) as sess:
+        env = sess.env
+        origin, target = sess[0], sess[1]
+        done = env.event()
+        nblocks = -(-message_bytes // blocksize)
 
-    if mode == "rdma":
-        eq = target.new_eq()
-        sess.install(1, MatchEntry(match_bits=DDT_TAG, length=message_bytes,
-                                   event_queue=eq))
+        if mode == "rdma":
+            eq = target.new_eq()
+            sess.install(1, MatchEntry(match_bits=DDT_TAG, length=message_bytes,
+                                       event_queue=eq))
 
-        def unpacker():
-            yield from target.wait_event(eq)
-            yield from target.cpu.compute_cycles(
-                nblocks * UNPACK_CYCLES_PER_BLOCK
-                + message_bytes * UNPACK_CYCLES_PER_BYTE,
-                label="unpack-loop",
-            )
-            yield from target.cpu.touch(message_bytes, passes=2, label="unpack-copy")
-            done.succeed(env.now)
+            def unpacker():
+                yield from target.wait_event(eq)
+                yield from target.cpu.compute_cycles(
+                    nblocks * UNPACK_CYCLES_PER_BLOCK
+                    + message_bytes * UNPACK_CYCLES_PER_BYTE,
+                    label="unpack-loop",
+                )
+                yield from target.cpu.touch(message_bytes, passes=2,
+                                            label="unpack-copy")
+                done.succeed(env.now)
 
-        sess.process(unpacker())
-    else:
-        _, ph, _ = make_ddtvec_handlers(blocksize=blocksize, stride=stride)
-        eq = target.new_eq()
-        sess.install(1, spin_me(
-            match_bits=DDT_TAG, length=message_bytes,
-            payload_handler=ph, event_queue=eq,
-            hpu_memory=PtlHPUAllocMem(target, 256),
-        ))
-        eq.on_next(lambda ev: done.succeed(env.now))
+            sess.process(unpacker())
+        else:
+            _, ph, _ = make_ddtvec_handlers(blocksize=blocksize, stride=stride)
+            eq = target.new_eq()
+            sess.install(1, spin_me(
+                match_bits=DDT_TAG, length=message_bytes,
+                payload_handler=ph, event_queue=eq,
+                hpu_memory=PtlHPUAllocMem(target, 256),
+            ))
+            eq.on_next(lambda ev: done.succeed(env.now))
 
-    def sender():
-        start = env.now
-        yield from origin.host_put(1, message_bytes, match_bits=DDT_TAG)
-        finish = yield done
-        return finish - start
+        def sender():
+            start = env.now
+            yield from origin.host_put(1, message_bytes, match_bits=DDT_TAG)
+            finish = yield done
+            return finish - start
 
-    proc = sess.process(sender())
-    elapsed_ps = sess.run(until=proc)
-    sess.drain()
-    return elapsed_ps / 1000.0
+        proc = sess.process(sender())
+        elapsed_ps = sess.run(until=proc)
+        sess.drain()
+        return elapsed_ps / 1000.0
 
 
 def effective_bandwidth_gib(message_bytes: int, completion_ns: float) -> float:

@@ -117,6 +117,10 @@ def pingpong_half_rtt_ns(size: int, mode: str, config: MachineConfig | str,
     rtt_ps = sess.run(until=result)
     sess.drain()  # drain remaining events
     sess.close()
+    # pong_watch re-registers itself by name, so its closure cell holds
+    # it: empty the cell, or the watcher and the cluster it reaches stay
+    # in a reference cycle.
+    del pong_watch
     return rtt_ps / 2 / 1000.0
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from typing import Optional
+from weakref import ref
 
 from repro.core.handlers import ReturnCode
 from repro.faults.plan import (
@@ -53,14 +54,20 @@ class FaultInjector:
         self.crashed: list[int] = []
         #: Stalled receive states reaped at crash time, keyed by rank.
         self.crash_reaped: dict[int, int] = {}
-        #: Handler invocations whose return code this plan replaced.
-        self.handler_faults_injected = 0
+        #: Handler invocations whose return code this plan replaced, in a
+        #: cell the NIC hooks share (see :meth:`_make_handler_hook`).
+        self._handler_hits = [0]
         #: In-flight corrupted packets: id(pkt) → pkt (identity-checked at
         #: delivery; keeping the object alive pins the id).
         self._corrupted: dict[int, object] = {}
         self._arm()
 
     # -- introspection ------------------------------------------------------
+    @property
+    def handler_faults_injected(self) -> int:
+        """Handler invocations whose return code this plan replaced."""
+        return self._handler_hits[0]
+
     @property
     def last_link_clear_ps(self) -> Optional[int]:
         """When the final link-outage window ends (recovery-time anchor)."""
@@ -146,10 +153,14 @@ class FaultInjector:
         )
         # Wrap the *instance* attributes: the class methods stay pristine,
         # so un-faulted fabrics (and the golden traces) never see this code.
-        original_dispatch = fabric._dispatch
-        original_deliver = fabric._deliver
+        # The wrappers live on the fabric, so they reach it through a weak
+        # reference and call its class methods: a closure over the fabric
+        # or its bound methods would form a reference cycle.
+        fabric_ref = ref(fabric)
+        fabric_cls = type(fabric)
 
         def dispatch(pkt, latency) -> None:
+            fabric = fabric_ref()
             now = env._now
             for start, stop, p, corrupt in windows:
                 if now >= start and (stop is None or now < stop):
@@ -162,14 +173,15 @@ class FaultInjector:
                             break
                         fabric.fault_packets_lost += 1
                         return
-            original_dispatch(pkt, latency)
+            fabric_cls._dispatch(fabric, pkt, latency)
 
         def deliver(pkt) -> None:
+            fabric = fabric_ref()
             if corrupted and corrupted.get(id(pkt)) is pkt:
                 del corrupted[id(pkt)]
                 fabric.fault_packets_corrupted += 1
                 return
-            original_deliver(pkt)
+            fabric_cls._deliver(fabric, pkt)
 
         fabric._dispatch = dispatch
         fabric._deliver = deliver
@@ -179,12 +191,12 @@ class FaultInjector:
         # drop site, or the id-keyed dict grows for the rest of the run
         # (and pins the packet alive, inviting id reuse).  The loggp
         # fabric has no _enter and never drops.
-        original_enter = getattr(fabric, "_enter", None)
-        if original_enter is not None:
+        if hasattr(fabric_cls, "_enter"):
 
             def enter(pkt, route, hop) -> None:
+                fabric = fabric_ref()
                 before = fabric.packets_dropped_links
-                original_enter(pkt, route, hop)
+                fabric_cls._enter(fabric, pkt, route, hop)
                 if (fabric.packets_dropped_links != before and corrupted
                         and corrupted.get(id(pkt)) is pkt):
                     del corrupted[id(pkt)]
@@ -205,15 +217,18 @@ class FaultInjector:
                 tuple(specs))
 
     def _make_handler_hook(self, specs):
+        # The hook lives on a NIC of this injector's cluster, so it counts
+        # into a shared cell instead of closing over the injector.
         env = self.env
         rng = self.rng
+        hits = self._handler_hits
 
         def hook(label: str, code: ReturnCode) -> ReturnCode:
             now = env._now
             for start, stop, p, fault_code in specs:
                 if now >= start and (stop is None or now < stop):
                     if p >= 1.0 or rng.random() < p:
-                        self.handler_faults_injected += 1
+                        hits[0] += 1
                         return fault_code
             return code
 

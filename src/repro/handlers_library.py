@@ -96,7 +96,7 @@ def make_pingpong_handlers(streaming: bool = True, pong_match_bits: int = PONG_T
         info = ctx.state.vars
         info["source"] = h.source
         info["length"] = h.length
-        mtu = ctx.nic.machine.ni.limits.max_payload_size
+        mtu = ctx.nic.ni.limits.max_payload_size
         if streaming:
             info["stream"] = True
             return ReturnCode.PROCESS_DATA  # payload handler replies per packet
@@ -130,7 +130,7 @@ def make_pingpong_handlers(streaming: bool = True, pong_match_bits: int = PONG_T
         ctx.charge(4)
         if info["stream"]:
             return ReturnCode.SUCCESS
-        mtu = ctx.nic.machine.ni.limits.max_payload_size
+        mtu = ctx.nic.ni.limits.max_payload_size
         if info["length"] <= mtu:
             stored_len = info.pop("stored_len", None)
             data = (ctx.state.read(64, stored_len)
@@ -231,7 +231,7 @@ def make_bcast_handlers(my_rank: int, nprocs: int, streaming: bool = True,
         ctx.charge(6)
         info = ctx.state.vars
         info["length"] = h.length
-        mtu = ctx.nic.machine.ni.limits.max_payload_size
+        mtu = ctx.nic.ni.limits.max_payload_size
         if not streaming and h.length > mtu:
             info["stream"] = False
             return ReturnCode.PROCEED  # deposit; completion forwards from host

@@ -51,7 +51,14 @@ def _limits_for_mtu(mtu: int) -> NILimits:
 
 
 class Machine:
-    """One simulated endpoint: host + NIC + DMA + Portals NI."""
+    """One simulated endpoint: host + NIC + DMA + Portals NI.
+
+    Ownership runs one way: the cluster owns its machines and the fabric,
+    and a machine owns its memory, CPU, DMA engine, NI and NIC.  A child
+    keeps no strong reference to its owner (``nic.machine`` is a weak
+    reference), so a finished simulation has no reference cycle and is
+    freed by reference count as soon as nothing references its cluster.
+    """
 
     def __init__(
         self,

@@ -117,7 +117,13 @@ class _TxChain:
 
 
 class Fabric:
-    """Connects attached NICs; delivers packets with LogGP timing."""
+    """Connects attached NICs; delivers packets with LogGP timing.
+
+    The cluster owns the fabric, and the fabric holds each attached
+    receive callback (a bound ``nic.on_packet``) strongly.  A NIC reaches
+    the fabric back only through a weak reference, so the fabric and the
+    NICs form no reference cycle.
+    """
 
     def __init__(
         self,
